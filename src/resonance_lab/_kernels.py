@@ -4,26 +4,21 @@ For the scans, the map from a candidate weight to its system matrix is
 linear over the prime field in the base-p digits of the candidate's
 coordinates.  Each scan therefore precomputes one integer digit matrix L by
 evaluating the exact reference row builder on unit digit inputs; a candidate
-then costs a small matmul plus a table-driven Gaussian elimination.  Two
-interchangeable backends compute the same uint8 nullity array: a numba-jitted
-loop (default when numba imports) and a pure numpy path.  Set
-RESONANCE_LAB_BACKEND=numba|numpy to force one.
+then costs a small matmul, batched over blocks of candidates in numpy, plus
+a Gaussian elimination through the ring's add/mul/neg/inv lookup tables.
+Candidates are indexed by projective representative (first nonzero
+coordinate one), ordered by the position of that leading one and then
+lexicographically in the remaining coordinates.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, List, Optional, Sequence, Tuple
+import itertools
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .rings import ExtensionField, PrimeField, Ring
-
-try:
-    from numba import njit
-    _HAS_NUMBA = True
-except Exception:  # pragma: no cover - environment without numba
-    _HAS_NUMBA = False
 
 __all__ = [
     "backend_name",
@@ -31,20 +26,15 @@ __all__ = [
     "projective_total",
     "lead_offsets",
     "decode_candidate",
+    "projective_points",
     "build_digit_map",
     "scan_nullities",
 ]
 
 
-def backend_name(override: Optional[str] = None) -> str:
-    choice = (override or os.environ.get("RESONANCE_LAB_BACKEND") or "").strip().lower()
-    if not choice:
-        return "numba" if _HAS_NUMBA else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {choice!r}; use numba or numpy")
-    if choice == "numba" and not _HAS_NUMBA:
-        raise ValueError("numba backend requested but numba is not importable")
-    return choice
+def backend_name() -> str:
+    """Name of the scan kernel, recorded alongside benchmark results."""
+    return "numpy"
 
 
 def field_params(ring: Ring) -> Tuple[int, int, int]:
@@ -80,6 +70,15 @@ def decode_candidate(g: int, q: int, dim: int) -> tuple:
         coords[dim - 1 - j] = rem % q
         rem //= q
     return tuple(coords)
+
+
+def projective_points(q: int, dim: int) -> Iterator[tuple]:
+    """Every projective representative in candidate order:
+    ``list(projective_points(q, dim))[g] == decode_candidate(g, q, dim)``."""
+    for lead in range(dim):
+        head = (0,) * lead + (1,)
+        for rest in itertools.product(range(q), repeat=dim - 1 - lead):
+            yield head + rest
 
 
 def build_digit_map(system_rows: Callable[[tuple], Sequence[Sequence[int]]],
@@ -120,8 +119,7 @@ def build_digit_map(system_rows: Callable[[tuple], Sequence[Sequence[int]]],
 
 
 def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
-                   start: int, stop: int,
-                   backend: Optional[str] = None) -> np.ndarray:
+                   start: int, stop: int) -> np.ndarray:
     """Nullity of the system matrix for projective candidates start..stop-1."""
     p, kext, q = field_params(ring)
     offs = lead_offsets(q, dim)
@@ -129,12 +127,8 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
     out = np.zeros(stop - start, dtype=np.uint8)
     if stop <= start:
         return out
-    if backend_name(backend) == "numba":
-        _scan_numba(L, dim, kext, p, q, nrows, ncols, offs,
-                    add, mul, neg, inv, start, stop, out)
-    else:
-        _scan_numpy(L, dim, kext, p, q, nrows, ncols, offs,
-                    add, mul, neg, inv, start, stop, out)
+    _scan_numpy(L, dim, kext, p, q, nrows, ncols, offs,
+                add, mul, neg, inv, start, stop, out)
     return out
 
 
@@ -198,73 +192,3 @@ def _rank_tables(M, add, mul, neg, inv) -> int:
         if rank == R:
             break
     return rank
-
-
-if _HAS_NUMBA:
-    @njit(cache=True, nogil=True)
-    def _scan_numba(L, dim, kext, p, q, nrows, ncols, offs,
-                    add, mul, neg, inv, start, stop, out):
-        dimk = dim * kext
-        digits = np.zeros(dimk, dtype=np.int64)
-        M = np.zeros((nrows, ncols), dtype=np.int16)
-        pw = np.zeros(kext, dtype=np.int64)
-        v = 1
-        for t in range(kext):
-            pw[t] = v
-            v *= p
-        for idx in range(stop - start):
-            g = start + idx
-            lead = 0
-            while lead + 1 < dim and g >= offs[lead + 1]:
-                lead += 1
-            rem = g - offs[lead]
-            for i in range(dimk):
-                digits[i] = 0
-            digits[lead * kext] = 1
-            for j in range(dim - 1 - lead):
-                val = rem % q
-                rem //= q
-                ci = dim - 1 - j
-                for t in range(kext):
-                    digits[ci * kext + t] = val % p
-                    val //= p
-            for r in range(nrows):
-                for c in range(ncols):
-                    base = (r * ncols + c) * kext
-                    enc = 0
-                    for t in range(kext):
-                        acc = 0
-                        for s in range(dimk):
-                            acc += L[base + t, s] * digits[s]
-                        enc += (acc % p) * pw[t]
-                    M[r, c] = enc
-            rank = 0
-            for c in range(ncols):
-                piv = -1
-                for i in range(rank, nrows):
-                    if M[i, c] != 0:
-                        piv = i
-                        break
-                if piv < 0:
-                    continue
-                if piv != rank:
-                    for j in range(ncols):
-                        tmp = M[rank, j]
-                        M[rank, j] = M[piv, j]
-                        M[piv, j] = tmp
-                f = inv[M[rank, c]]
-                if f != 1:
-                    for j in range(ncols):
-                        M[rank, j] = mul[f, M[rank, j]]
-                for i in range(rank + 1, nrows):
-                    fac = M[i, c]
-                    if fac != 0:
-                        for j in range(ncols):
-                            M[i, j] = add[M[i, j], neg[mul[fac, M[rank, j]]]]
-                rank += 1
-                if rank == nrows:
-                    break
-            out[idx] = ncols - rank
-else:  # pragma: no cover - numba always present in CI images here
-    def _scan_numba(*args, **kwargs):
-        raise RuntimeError("numba is not available")

@@ -278,8 +278,7 @@ def _cmd_component(args) -> dict:
     m = _load_matroid(args.matroid)
     ring = make_ring(args.ring)
     g = _graph_arg(args, m)
-    scan = scan_component(g, m, ring, cap=args.cap, jobs=args.jobs,
-                          backend=args.backend)
+    scan = scan_component(g, m, ring, cap=args.cap, jobs=args.jobs)
     rep = scan.to_jsonable()
     rep["verb"] = "component"
     return rep
@@ -410,8 +409,7 @@ def _text_degree(r) -> list:
 def _cmd_scan(args) -> dict:
     m = _load_matroid(args.matroid)
     ring = make_ring(args.ring)
-    rep = scan_resonance(m, ring, cap=args.cap, jobs=args.jobs,
-                         backend=args.backend).to_jsonable()
+    rep = scan_resonance(m, ring, cap=args.cap, jobs=args.jobs).to_jsonable()
     rep["verb"] = "scan"
     return rep
 
@@ -454,8 +452,7 @@ def _cmd_fit(args) -> dict:
     if not ring.is_field:
         raise ValueError("form fitting needs a field")
     g = _graph_arg(args, m)
-    scan = scan_component(g, m, ring, cap=args.cap, jobs=args.jobs,
-                          backend=args.backend)
+    scan = scan_component(g, m, ring, cap=args.cap, jobs=args.jobs)
     pts = scan.carrier
     if not pts:
         raise ValueError("empty carrier; nothing to fit")
@@ -510,8 +507,6 @@ _HANDLERS = {
 
 def _add_common(p, fmt=("text", "json")):
     p.add_argument("--format", choices=fmt, default="text")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized operations (reserved)")
 
 
 def _add_matroid_ring(p, ring_default=None):
@@ -527,7 +522,6 @@ def _add_scan_opts(p):
     p.add_argument("--cap", type=int, default=None,
                    help="membership-test budget (RESONANCE_LAB_CAP overrides default)")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--backend", choices=("numba", "numpy"), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -69,11 +69,7 @@ class Subspace:
         v = R.coerce_vector(v)
         pivots = [next(j for j, x in enumerate(b) if x != R.zero) for b in self.basis]
         coeffs = [v[p] for p in pivots]
-        rec = [R.zero] * self.n
-        for c, b in zip(coeffs, self.basis):
-            if c != R.zero:
-                rec = [R.add(x, R.mul(c, y)) for x, y in zip(rec, b)]
-        if tuple(rec) != v:
+        if R.combine(coeffs, self.basis, self.n) != v:
             raise ValueError("vector is not in the subspace")
         return tuple(coeffs)
 
@@ -189,13 +185,7 @@ class DirectrixArrangement:
         return self.k.coordinates_of(v)
 
     def to_ambient(self, c: Sequence) -> tuple:
-        R = self.ring
-        c = R.coerce_vector(c)
-        out = [R.zero] * self.k.n
-        for ci, b in zip(c, self.k.basis):
-            if ci != R.zero:
-                out = [R.add(x, R.mul(ci, y)) for x, y in zip(out, b)]
-        return tuple(out)
+        return self.ring.combine(self.ring.coerce_vector(c), self.k.basis, self.k.n)
 
     def depth(self, xi: Sequence) -> int:
         return depth(xi, [d.space for d in self.members], within=self.k)
@@ -236,14 +226,7 @@ def _block_vanishing(k_basis: Sequence[tuple], block: Sequence[int],
     """Basis of {xi in span(k_basis) : xi_i = 0 for i in block}."""
     rows = [[b[i - 1] for b in k_basis] for i in sorted(block)]
     coeff_kernel = kernel_field(Matrix.from_rows(ring, rows, width=len(k_basis)))
-    out = []
-    for c in coeff_kernel:
-        v = [ring.zero] * n
-        for ci, b in zip(c, k_basis):
-            if ci != ring.zero:
-                v = [ring.add(x, ring.mul(ci, y)) for x, y in zip(v, b)]
-        out.append(tuple(v))
-    return out
+    return [ring.combine(c, k_basis, n) for c in coeff_kernel]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from ._kernels import projective_points, projective_total
 from .graphs import Graph, is_neighborly
 from .matroid import Matroid, incidence_matrix
 from .osalg import _minor_graph, z_of
@@ -158,12 +159,9 @@ class SolutionModule:
             raise CapExceeded(
                 f"{total} coefficient tuples exceed the cap {budget}")
         seen = set()
+        n = len(self.generators[0])
         for coeffs in itertools.product(range(N), repeat=g):
-            v = [R.zero] * len(self.generators[0])
-            for c, gen in zip(coeffs, self.generators):
-                if c:
-                    v = [R.add(x, R.mul(c, y)) for x, y in zip(v, gen)]
-            t = tuple(v)
+            t = R.combine(coeffs, self.generators, n)
             if t in seen:
                 continue
             seen.add(t)
@@ -371,16 +369,13 @@ def generic_partner(lam: Sequence, m: Matroid, ext: Ring) -> tuple:
     for coeffs in itertools.product(pool, repeat=len(basis)):
         if not any(c != ext.zero for c in coeffs):
             continue
-        mu = [ext.zero] * m.n
-        for c, b in zip(coeffs, basis):
-            if c != ext.zero:
-                mu = [ext.add(x, ext.mul(c, y)) for x, y in zip(mu, b)]
+        mu = ext.combine(coeffs, basis, m.n)
         if any(ext.sum(mu[i - 1] for i in X) == ext.zero for X in active_lines):
             continue
         if any(ext.sub(ext.mul(lam[i], mu[j]), ext.mul(lam[j], mu[i]))
                == ext.zero for i, j in active_pairs):
             continue
-        return tuple(mu)
+        return mu
     raise ValueError(
         f"no generic partner over {ext.spec}; any field with more than "
         f"{bound} elements is guaranteed to work")
@@ -435,13 +430,13 @@ def component_report(graph: Graph, m: Matroid, ring: Ring,
     if ring.is_field:
         dim_k, k_basis, zero_mod = len(ks), tuple(ks), None
         if ring.cardinality is not None and dim_k:
-            total = (ring.cardinality ** dim_k - 1) // (ring.cardinality - 1)
-            if total > cap:
+            if projective_total(ring.cardinality, dim_k) > cap:
                 capped = True
             else:
-                for lam in _projective_span(ks, ring):
+                for coeffs in projective_points(ring.cardinality, dim_k):
                     if len(pairs) >= max_samples:
                         break
+                    lam = ring.combine(coeffs, ks, m.n)
                     sol = z_gamma(lam, graph, m, ring)
                     if len(sol) >= 2:
                         eta = next(b for b in sol if not is_parallel(lam, b, ring))
@@ -474,23 +469,6 @@ def component_report(graph: Graph, m: Matroid, ring: Ring,
         supp = []
     return ComponentReport(graph, ring.spec, dim_k, k_basis, zero_mod,
                            tuple(pairs), tuple(supp), capped)
-
-
-def _projective_span(basis: Sequence[tuple], ring: Ring) -> Iterator[tuple]:
-    """One representative per projective class of the span, zero excluded:
-    coefficient tuples whose first nonzero entry is one."""
-    d = len(basis)
-    if d == 0:
-        return
-    n = len(basis[0])
-    els = list(ring.elements())
-    for lead in range(d):
-        for rest in itertools.product(els, repeat=d - lead - 1):
-            v = list(basis[lead])
-            for c, b in zip(rest, basis[lead + 1:]):
-                if c != ring.zero:
-                    v = [ring.add(x, ring.mul(c, y)) for x, y in zip(v, b)]
-            yield tuple(v)
 
 
 # ---------------------------------------------------------------------------

@@ -65,15 +65,13 @@ def _split_ranges(total: int, jobs: int) -> List[Tuple[int, int]]:
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def _scan_all(L, ring, dim, nrows, ncols, total, jobs, backend) -> np.ndarray:
+def _scan_all(L, ring, dim, nrows, ncols, total, jobs) -> np.ndarray:
     ranges = _split_ranges(total, jobs)
     if len(ranges) <= 1:
-        return _kernels.scan_nullities(L, ring, dim, nrows, ncols, 0, total,
-                                       backend=backend)
+        return _kernels.scan_nullities(L, ring, dim, nrows, ncols, 0, total)
     with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
         parts = list(pool.map(
-            lambda r: _kernels.scan_nullities(L, ring, dim, nrows, ncols,
-                                              r[0], r[1], backend=backend),
+            lambda r: _kernels.scan_nullities(L, ring, dim, nrows, ncols, *r),
             ranges))
     return np.concatenate(parts)
 
@@ -124,14 +122,14 @@ class ScanReport:
 
 
 def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
-                   jobs: int = 1, backend: Optional[str] = None) -> ScanReport:
+                   jobs: int = 1) -> ScanReport:
     """Classify every nonzero weight of a finite ring as resonant or not.
 
     Fields walk one representative per projective class through the digit
     kernels; Z/N walks all nonzero tuples through the exact module path.
     Every reported point re-verifies through the reference predicate.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     budget = _budget(cap)
     if ring.cardinality is None:
         raise ValueError("exhaustive scans need a finite ring")
@@ -139,7 +137,7 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
         raise CapExceeded(
             f"{ring.cardinality}**{m.n} weights exceed the budget {budget}")
     if ring.is_field:
-        points = _scan_resonance_field(m, ring, jobs, backend)
+        points = _scan_resonance_field(m, ring, jobs)
     elif isinstance(ring, IntegersModN):
         points = _scan_resonance_modn(m, ring)
     else:
@@ -150,17 +148,16 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
     universe = (_kernels.projective_total(ring.cardinality, m.n)
                 if ring.is_field else ring.cardinality ** m.n - 1)
     return ScanReport(m.name, ring.spec, universe, tuple(points), groups,
-                      time.time() - t0, budget, jobs)
+                      time.perf_counter() - t0, budget, jobs)
 
 
-def _scan_resonance_field(m: Matroid, ring: Ring, jobs: int,
-                          backend: Optional[str]) -> List[ScanPoint]:
+def _scan_resonance_field(m: Matroid, ring: Ring, jobs: int) -> List[ScanPoint]:
     basis = [tuple(ring.one if j == i else ring.zero for j in range(m.n))
              for i in range(m.n)]
     L, nr, nc = _kernels.build_digit_map(
         lambda lam: dlambda_matrix(lam, m, ring).rows, basis, ring)
     total = _kernels.projective_total(ring.cardinality, m.n)
-    nullities = _scan_all(L, ring, m.n, nr, nc, total, jobs, backend)
+    nullities = _scan_all(L, ring, m.n, nr, nc, total, jobs)
     out = []
     for g in np.nonzero(nullities >= 2)[0]:
         lam = _kernels.decode_candidate(int(g), ring.cardinality, m.n)
@@ -234,10 +231,9 @@ class ComponentScan:
 
 
 def scan_component(graph: Graph, m: Matroid, ring: Ring,
-                   cap: Optional[int] = None, jobs: int = 1,
-                   backend: Optional[str] = None) -> ComponentScan:
+                   cap: Optional[int] = None, jobs: int = 1) -> ComponentScan:
     """Classify every projective weight of K by its solution-space dimension."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     budget = _budget(cap)
     if not ring.is_field or ring.cardinality is None:
         raise ValueError("component scans need a finite field")
@@ -245,7 +241,7 @@ def scan_component(graph: Graph, m: Matroid, ring: Ring,
     dim_k = len(kb)
     if dim_k == 0:
         return ComponentScan(graph, m.name, ring.spec, 0, 0, (), (),
-                             time.time() - t0, budget)
+                             time.perf_counter() - t0, budget)
     if ring.cardinality ** dim_k > budget:
         raise CapExceeded(
             f"{ring.cardinality}**{dim_k} K-weights exceed the budget {budget}")
@@ -257,7 +253,7 @@ def scan_component(graph: Graph, m: Matroid, ring: Ring,
 
     L, nr, nc = _kernels.build_digit_map(rows_fn, kb, ring)
     total = _kernels.projective_total(ring.cardinality, dim_k)
-    nullities = _scan_all(L, ring, dim_k, nr, nc, total, jobs, backend)
+    nullities = _scan_all(L, ring, dim_k, nr, nc, total, jobs)
     strata: Dict[int, int] = {}
     points = []
     for g in range(total):
@@ -265,14 +261,10 @@ def scan_component(graph: Graph, m: Matroid, ring: Ring,
         strata[d] = strata.get(d, 0) + 1
         if d >= 2:
             coeffs = _kernels.decode_candidate(g, ring.cardinality, dim_k)
-            amb = [ring.zero] * m.n
-            for c, b in zip(coeffs, kb):
-                if c != ring.zero:
-                    amb = [ring.add(x, ring.mul(c, y)) for x, y in zip(amb, b)]
-            points.append((_canon(amb, ring), d))
+            points.append((_canon(ring.combine(coeffs, kb, m.n), ring), d))
     return ComponentScan(graph, m.name, ring.spec, dim_k, total,
                          tuple(sorted(strata.items())), tuple(points),
-                         time.time() - t0, budget)
+                         time.perf_counter() - t0, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +378,7 @@ def regulus_check(ring: Ring, seed: int = 0,
     ambient = span(ring, [[ring.one if j == i else ring.zero for j in range(4)]
                           for i in range(4)], 4)
     count, all_one = 0, True
-    for g in range(_kernels.projective_total(q, 4)):
-        xi = _kernels.decode_candidate(g, q, 4)
+    for xi in _kernels.projective_points(q, 4):
         d = geom_depth(xi, planes, within=ambient)
         if d >= 1:
             count += 1

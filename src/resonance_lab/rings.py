@@ -197,6 +197,14 @@ class Ring:
             acc = self.add(acc, x)
         return acc
 
+    def combine(self, coeffs: Sequence, vectors: Sequence[Sequence], n: int) -> tuple:
+        """sum_i coeffs[i] * vectors[i] in R^n, skipping zero coefficients."""
+        acc = [self.zero] * n
+        for c, v in zip(coeffs, vectors):
+            if c != self.zero:
+                acc = [self.add(x, self.mul(c, y)) for x, y in zip(acc, v)]
+        return tuple(acc)
+
     def coerce_vector(self, xs: Sequence) -> tuple:
         return tuple(self.coerce(x) for x in xs)
 

@@ -1,4 +1,4 @@
-"""Backend selection and the batched nullity loops against the exact path."""
+"""The batched nullity loop against the exact path."""
 
 import numpy as np
 import pytest
@@ -9,17 +9,8 @@ from resonance_lab.osalg import dlambda_matrix, z_of
 from resonance_lab.rings import make_ring
 
 
-def test_backend_name_selection(monkeypatch):
-    monkeypatch.delenv("RESONANCE_LAB_BACKEND", raising=False)
-    assert _kernels.backend_name() in ("numba", "numpy")
-    assert _kernels.backend_name("numpy") == "numpy"
-    monkeypatch.setenv("RESONANCE_LAB_BACKEND", "numpy")
+def test_backend_name_selection():
     assert _kernels.backend_name() == "numpy"
-    # explicit override beats the environment
-    if _kernels._HAS_NUMBA:
-        assert _kernels.backend_name("numba") == "numba"
-    with pytest.raises(ValueError):
-        _kernels.backend_name("fortran")
 
 
 def test_projective_totals():
@@ -42,6 +33,11 @@ def test_decode_candidate_enumerates_projective_space():
     offs = _kernels.lead_offsets(q, dim)
     assert offs[0] == 0 and offs[dim] == total
     assert all(offs[i] < offs[i + 1] for i in range(dim))
+    # the generator walks the same candidates in kernel index order
+    for q, dim in ((3, 3), (4, 2), (2, 5)):
+        points = list(_kernels.projective_points(q, dim))
+        assert points == [_kernels.decode_candidate(g, q, dim)
+                          for g in range(_kernels.projective_total(q, dim))]
 
 
 def _digit_map(m, ring):
@@ -56,29 +52,10 @@ def test_scan_matches_exact_kernel_f2():
     ring = make_ring("F2")
     L, nr, nc = _digit_map(m, ring)
     total = _kernels.projective_total(2, m.n)
-    nul = _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, total,
-                                  backend="numpy")
+    nul = _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, total)
     for g in range(total):
         lam = _kernels.decode_candidate(g, 2, m.n)
         assert int(nul[g]) == len(z_of(lam, m, ring)), lam
-
-
-@pytest.mark.skipif(not _kernels._HAS_NUMBA, reason="numba unavailable")
-def test_backends_agree_f4():
-    m = catalog("nonfano")
-    ring = make_ring("F4")
-    L, nr, nc = _digit_map(m, ring)
-    total = _kernels.projective_total(4, m.n)
-    a = _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, total, backend="numpy")
-    b = _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, total, backend="numba")
-    assert np.array_equal(a, b)
-    # windowed scans glue to the full one
-    mid = total // 2
-    c = np.concatenate([
-        _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, mid, backend="numpy"),
-        _kernels.scan_nullities(L, ring, m.n, nr, nc, mid, total,
-                                backend="numpy")])
-    assert np.array_equal(a, c)
 
 
 def test_scan_spot_check_extension_field():
@@ -87,19 +64,24 @@ def test_scan_spot_check_extension_field():
     ring = make_ring("F4")
     L, nr, nc = _digit_map(m, ring)
     total = _kernels.projective_total(4, m.n)
-    nul = _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, total,
-                                  backend="numpy")
+    nul = _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, total)
     rng = np.random.default_rng(0)
     for g in map(int, rng.integers(0, total, size=40)):
         lam = _kernels.decode_candidate(g, 4, m.n)
         assert int(nul[g]) == len(z_of(lam, m, ring)), lam
+    # windowed scans glue to the full one
+    mid = total // 2
+    glued = np.concatenate([
+        _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, mid),
+        _kernels.scan_nullities(L, ring, m.n, nr, nc, mid, total)])
+    assert np.array_equal(nul, glued)
 
 
 def test_empty_window_and_empty_basis():
     m = catalog("nonfano")
     ring = make_ring("F2")
     L, nr, nc = _digit_map(m, ring)
-    out = _kernels.scan_nullities(L, ring, m.n, nr, nc, 5, 5, backend="numpy")
+    out = _kernels.scan_nullities(L, ring, m.n, nr, nc, 5, 5)
     assert out.size == 0
     with pytest.raises(ValueError):
         _kernels.build_digit_map(lambda lam: [[0]], [], ring)
