@@ -67,9 +67,7 @@ class KPredicate:
         xi = self.ring.coerce_vector(xi)
         if len(xi) != self.n:
             raise ValueError("wrong vector length")
-        return all(
-            self.ring.is_zero_divisor(self.ring.sum(xi[i - 1] for i in X))
-            for X in self.x_lines)
+        return _in_k(xi, self.x_lines, self.ring)
 
 
 def k_gamma(graph: Graph, m: Matroid, ring: Ring):
@@ -95,16 +93,10 @@ def k_gamma(graph: Graph, m: Matroid, ring: Ring):
     raise ValueError(f"unsupported ring {ring.spec}")
 
 
-def _in_k(lam: Sequence, graph: Graph, m: Matroid, ring: Ring) -> bool:
-    lam = ring.coerce_vector(lam)
-    for X in graph.x_gamma(m):
-        s = ring.sum(lam[i - 1] for i in X)
-        if ring.is_field:
-            if s != ring.zero:
-                return False
-        elif not ring.is_zero_divisor(s):
-            return False
-    return True
+def _in_k(lam: Sequence, x_lines: Sequence[Tuple[int, ...]], ring: Ring) -> bool:
+    """Every line sum over x_gamma is a zero divisor; over a field, zero."""
+    return all(ring.is_zero_divisor(ring.sum(lam[i - 1] for i in X))
+               for X in x_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +176,7 @@ def z_gamma(lam: Sequence, graph: Graph, m: Matroid, ring: Ring):
     itself is outside K.
     """
     lam = ring.coerce_vector(lam)
-    if not _in_k(lam, graph, m, ring):
+    if not _in_k(lam, graph.x_gamma(m), ring):
         raise ValueError("weight lies outside K(graph)")
     rows = zgamma_rows(lam, graph, m, ring)
     if ring.is_field:
@@ -208,7 +200,7 @@ def v1_contains(lam: Sequence, graph: Graph, m: Matroid, ring: Ring,
     lam = ring.coerce_vector(lam)
     if all(x == ring.zero for x in lam):
         return False
-    if not _in_k(lam, graph, m, ring):
+    if not _in_k(lam, graph.x_gamma(m), ring):
         return False
     sol = z_gamma(lam, graph, m, ring)
     if ring.is_field:
@@ -224,7 +216,7 @@ def v1_k_contains(lam: Sequence, graph: Graph, m: Matroid, ring: Ring,
     lam = ring.coerce_vector(lam)
     if all(x == ring.zero for x in lam):
         return False
-    if not _in_k(lam, graph, m, ring):
+    if not _in_k(lam, graph.x_gamma(m), ring):
         return False
     return len(z_gamma(lam, graph, m, ring)) > k
 

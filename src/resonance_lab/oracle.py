@@ -2,9 +2,12 @@
 stratification, vanishing-form interpolation, and the regulus demo.
 
 Scans enumerate one representative per projective class over fields (first
-nonzero coordinate one) and every nonzero tuple over Z/N.  All caps are
-explicit; RESONANCE_LAB_CAP overrides the default budget.  Range splitting
-is deterministic, so reports are identical for any worker count.
+nonzero coordinate one) and every nonzero tuple over Z/N.  Each reported
+point's Z(lambda) is computed once; over a field its dimension must equal
+the kernel nullity.  Every point's partner eta is then checked by evaluating
+a_lambda ∧ a_eta directly, and the same eta picks the point's graph.  All
+caps are explicit; RESONANCE_LAB_CAP overrides the default budget.  Range
+splitting is deterministic, so reports are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from .graphs import Graph
 from .linegeom import Subspace, depth as geom_depth, span
 from .matroid import Matroid
 from .neighborly import CapExceeded, k_gamma, zgamma_rows
-from .osalg import dlambda_matrix, is_resonant, pair_graph, z_of
+from .osalg import dlambda_matrix, pair_graph, z_of
+from .osalg import is_resonant  # noqa: F401  perfbench/selftest.py reads oracle.is_resonant
 from .rings import IntegersModN, Matrix, Ring, is_parallel, kernel_field, rank_field
 
 __all__ = [
@@ -127,7 +131,7 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
 
     Fields walk one representative per projective class through the digit
     kernels; Z/N walks all nonzero tuples through the exact module path.
-    Every reported point re-verifies through the reference predicate.
+    Every reported point's partner is verified by direct wedge evaluation.
     """
     t0 = time.perf_counter()
     budget = _budget(cap)
@@ -137,21 +141,20 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
         raise CapExceeded(
             f"{ring.cardinality}**{m.n} weights exceed the budget {budget}")
     if ring.is_field:
-        points = _scan_resonance_field(m, ring, jobs)
+        found = _scan_resonance_field(m, ring, jobs)
     elif isinstance(ring, IntegersModN):
-        points = _scan_resonance_modn(m, ring)
+        found = _scan_resonance_modn(m, ring)
     else:
         raise ValueError(f"unsupported ring {ring.spec}")
-    for p in points:
-        assert is_resonant(p.lam, m, ring), f"scan point fails re-verification: {p}"
-    groups = _group_by_graph(points, m, ring)
+    groups = _group_by_graph(found, m, ring)
     universe = (_kernels.projective_total(ring.cardinality, m.n)
                 if ring.is_field else ring.cardinality ** m.n - 1)
-    return ScanReport(m.name, ring.spec, universe, tuple(points), groups,
-                      time.perf_counter() - t0, budget, jobs)
+    return ScanReport(m.name, ring.spec, universe, tuple(p for p, _ in found),
+                      groups, time.perf_counter() - t0, budget, jobs)
 
 
-def _scan_resonance_field(m: Matroid, ring: Ring, jobs: int) -> List[ScanPoint]:
+def _scan_resonance_field(m: Matroid, ring: Ring,
+                          jobs: int) -> List[Tuple[ScanPoint, tuple]]:
     basis = [tuple(ring.one if j == i else ring.zero for j in range(m.n))
              for i in range(m.n)]
     L, nr, nc = _kernels.build_digit_map(
@@ -161,11 +164,18 @@ def _scan_resonance_field(m: Matroid, ring: Ring, jobs: int) -> List[ScanPoint]:
     out = []
     for g in np.nonzero(nullities >= 2)[0]:
         lam = _kernels.decode_candidate(int(g), ring.cardinality, m.n)
-        out.append(ScanPoint(lam, dim_z=int(nullities[g])))
+        d = int(nullities[g])
+        zb = z_of(lam, m, ring)
+        if len(zb) != d:
+            raise ValueError(f"kernel nullity {d} of {lam} disagrees with "
+                             f"dim Z = {len(zb)}")
+        eta = next(b for b in zb if not is_parallel(lam, b, ring))
+        out.append((ScanPoint(lam, dim_z=d), eta))
     return out
 
 
-def _scan_resonance_modn(m: Matroid, ring: IntegersModN) -> List[ScanPoint]:
+def _scan_resonance_modn(m: Matroid,
+                         ring: IntegersModN) -> List[Tuple[ScanPoint, tuple]]:
     out = []
     for lam in itertools.product(range(ring.n), repeat=m.n):
         if not any(lam):
@@ -173,19 +183,16 @@ def _scan_resonance_modn(m: Matroid, ring: IntegersModN) -> List[ScanPoint]:
         gens = z_of(lam, m, ring)
         wit = next((g for g in gens if not is_parallel(lam, g, ring)), None)
         if wit is not None:
-            out.append(ScanPoint(lam, witness=wit))
+            out.append((ScanPoint(lam, witness=wit), wit))
     return out
 
 
-def _group_by_graph(points: Sequence[ScanPoint], m: Matroid,
+def _group_by_graph(found: Sequence[Tuple[ScanPoint, tuple]], m: Matroid,
                     ring: Ring) -> Tuple[Tuple[Graph, Tuple[tuple, ...]], ...]:
+    """Group points by the graph of their partner; `pair_graph` raises
+    unless a_lambda ∧ a_eta = 0 and eta is not parallel to lambda."""
     by_graph: Dict[frozenset, Tuple[Graph, List[tuple]]] = {}
-    for p in points:
-        if p.witness is not None:
-            eta = p.witness
-        else:
-            eta = next(b for b in z_of(p.lam, m, ring)
-                       if not is_parallel(p.lam, b, ring))
+    for p, eta in found:
         g = pair_graph(p.lam, eta, m, ring)
         by_graph.setdefault(g.edges, (g, []))[1].append(p.lam)
     ordered = sorted(by_graph.values(), key=lambda t: repr(t[0]))
@@ -254,17 +261,15 @@ def scan_component(graph: Graph, m: Matroid, ring: Ring,
     L, nr, nc = _kernels.build_digit_map(rows_fn, kb, ring)
     total = _kernels.projective_total(ring.cardinality, dim_k)
     nullities = _scan_all(L, ring, dim_k, nr, nc, total, jobs)
-    strata: Dict[int, int] = {}
+    strata = tuple((d, int(c)) for d, c in enumerate(np.bincount(nullities))
+                   if c)
     points = []
-    for g in range(total):
-        d = int(nullities[g])
-        strata[d] = strata.get(d, 0) + 1
-        if d >= 2:
-            coeffs = _kernels.decode_candidate(g, ring.cardinality, dim_k)
-            points.append((_canon(ring.combine(coeffs, kb, m.n), ring), d))
-    return ComponentScan(graph, m.name, ring.spec, dim_k, total,
-                         tuple(sorted(strata.items())), tuple(points),
-                         time.perf_counter() - t0, budget)
+    for g in np.nonzero(nullities >= 2)[0]:
+        coeffs = _kernels.decode_candidate(int(g), ring.cardinality, dim_k)
+        points.append((_canon(ring.combine(coeffs, kb, m.n), ring),
+                       int(nullities[g])))
+    return ComponentScan(graph, m.name, ring.spec, dim_k, total, strata,
+                         tuple(points), time.perf_counter() - t0, budget)
 
 
 # ---------------------------------------------------------------------------

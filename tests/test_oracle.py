@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from resonance_lab import _kernels, oracle, osalg
 from resonance_lab.graphs import parse_graph
 from resonance_lab.matroid import catalog
 from resonance_lab.neighborly import CapExceeded, z_gamma
@@ -118,6 +119,59 @@ def test_scan_z4_pencil_matches_rank_two_condition():
         assert p.witness is not None
         assert wedge_is_zero(p.lam, p.witness, m, Z4)
         assert not is_parallel(p.lam, p.witness, Z4)
+
+
+def test_scan_field_raises_when_nullity_disagrees_with_z(monkeypatch):
+    real = _kernels.scan_nullities
+
+    def bumped(*args):
+        out = real(*args)
+        out[list(out).index(1)] = 2
+        return out
+
+    monkeypatch.setattr(_kernels, "scan_nullities", bumped)
+    with pytest.raises(ValueError, match="disagrees"):
+        scan_resonance(catalog("pencil-3"), F3)
+
+
+def test_scan_modn_raises_on_partner_outside_z(monkeypatch):
+    m = catalog("pencil-3")
+    Z4 = make_ring("Z4")
+    # Z((1,0,0)) holds only multiples of lambda; (0,1,0) is not parallel to
+    # it and a_lambda ∧ a_eta != 0, so the wedge check must refuse it
+    bad_lam, bad_eta = (1, 0, 0), (0, 1, 0)
+    assert not wedge_is_zero(bad_lam, bad_eta, m, Z4)
+    assert not is_parallel(bad_lam, bad_eta, Z4)
+
+    def wrong_z(lam, m, ring):
+        return [bad_eta] if tuple(lam) == bad_lam else z_of(lam, m, ring)
+
+    monkeypatch.setattr(oracle, "z_of", wrong_z)
+    with pytest.raises(ValueError, match="not resonant"):
+        scan_resonance(m, Z4)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_scan_computes_each_z_once(monkeypatch):
+    modn = _count_calls(monkeypatch, osalg, "kernel_modn")
+    field = _count_calls(monkeypatch, osalg, "kernel_field")
+    scan_resonance(catalog("pencil-3"), make_ring("Z4"))
+    assert len(modn) == 4 ** 3 - 1
+    assert not field
+    rep = scan_resonance(catalog("nonfano"), F3)
+    assert len(rep.points) > 0
+    assert len(field) == len(rep.points)
 
 
 def test_scan_component_braid_f5():
