@@ -3,9 +3,11 @@
 For the scans, the map from a candidate weight to its system matrix is
 linear over the prime field in the base-p digits of the candidate's
 coordinates.  Each scan therefore precomputes one integer digit matrix L by
-evaluating the exact reference row builder on unit digit inputs; a candidate
-then costs a small matmul, batched over blocks of candidates in numpy, plus
-a Gaussian elimination through the ring's add/mul/neg/inv lookup tables.
+evaluating the exact reference row builder on unit digit inputs.  A block of
+candidates then costs one float64 matmul (exact at these sizes) and one
+Gaussian elimination of the whole (B, R, C) block at once: a loop over the
+C columns whose steps are numpy operations on all B matrices, with field
+arithmetic through the ring's add/mul/inv tables plus negmul = -(a*b).
 Candidates are indexed by projective representative (first nonzero
 coordinate one), ordered by the position of that leading one and then
 lexicographically in the remaining coordinates.
@@ -123,30 +125,14 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
     """Nullity of the system matrix for projective candidates start..stop-1."""
     p, kext, q = field_params(ring)
     offs = lead_offsets(q, dim)
-    add, mul, neg, inv = _tables_for(ring)
-    out = np.zeros(stop - start, dtype=np.uint8)
-    if stop <= start:
-        return out
-    _scan_numpy(L, dim, kext, p, q, nrows, ncols, offs,
-                add, mul, neg, inv, start, stop, out)
-    return out
-
-
-_TABLE_CACHE: dict = {}
-
-
-def _tables_for(ring: Ring):
-    key = ring.spec
-    if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = ring.tables()
-    return _TABLE_CACHE[key]
-
-
-def _scan_numpy(L, dim, kext, p, q, nrows, ncols, offs,
-                add, mul, neg, inv, start, stop, out, block: int = 4096):
+    add, mul, negmul, inv = _tables_for(ring)
     pw = p ** np.arange(kext, dtype=np.int64)
-    for lo in range(start, stop, block):
-        hi = min(lo + block, stop)
+    # float64 matmuls run in BLAS and stay exact: a digit-map entry is below
+    # p * p * dim * kext, far from 2**53
+    Lt, pwf = L.T.astype(np.float64), pw.astype(np.float64)
+    out = np.zeros(stop - start, dtype=np.uint8)
+    for lo in range(start, stop, _BLOCK):
+        hi = min(lo + _BLOCK, stop)
         gs = np.arange(lo, hi, dtype=np.int64)
         lead = np.searchsorted(offs, gs, side="right") - 1
         rem = gs - offs[lead]
@@ -159,36 +145,49 @@ def _scan_numpy(L, dim, kext, p, q, nrows, ncols, offs,
                 coords[m, pos] = rem[m] % q
                 rem[m] //= q
         digits = ((coords[:, :, None] // pw) % p).reshape(B, dim * kext)
-        mdig = (digits @ L.T) % p
-        mats = (mdig.reshape(B, nrows * ncols, kext) @ pw).reshape(
-            B, nrows, ncols).astype(np.int16)
-        for b in range(B):
-            out[lo - start + b] = ncols - _rank_tables(mats[b], add, mul, neg, inv)
+        mdig = np.fmod(digits.astype(np.float64) @ Lt, p)
+        mats = (mdig.reshape(B, nrows * ncols, kext) @ pwf).reshape(
+            B, nrows, ncols).astype(add.dtype)
+        out[lo - start:hi - start] = ncols - _block_rank(mats, add, mul, negmul, inv)
+    return out
 
 
-def _rank_tables(M, add, mul, neg, inv) -> int:
-    R, C = M.shape
-    rank = 0
+_BLOCK = 4096
+_TABLE_CACHE: dict = {}
+
+
+def _tables_for(ring: Ring):
+    """(add, mul, negmul, inv) lookup tables, with negmul[a, b] = -(a * b)."""
+    key = ring.spec
+    if key not in _TABLE_CACHE:
+        add, mul, neg, inv = ring.tables()
+        _TABLE_CACHE[key] = (add, mul, neg[mul], inv)
+    return _TABLE_CACHE[key]
+
+
+def _block_rank(M, add, mul, negmul, inv) -> np.ndarray:
+    """Ranks of the B matrices of M (B, R, C), eliminated together in place.
+
+    Column by column, each matrix takes its first unused row with a nonzero
+    entry as pivot and clears that column in its other unused rows; used
+    rows are never touched again, so no row swaps are needed.
+    """
+    B, R, C = M.shape
+    q = add.shape[0]
+    addf, negmulf = add.ravel(), negmul.ravel()
+    every = np.arange(B)
+    used = np.zeros((B, R), dtype=bool)
+    rank = np.zeros(B, dtype=np.int64)
     for c in range(C):
-        piv = -1
-        for i in range(rank, R):
-            if M[i, c]:
-                piv = i
-                break
-        if piv < 0:
-            continue
-        if piv != rank:
-            M[[rank, piv]] = M[[piv, rank]]
-        f = inv[M[rank, c]]
-        if f != 1:
-            M[rank] = mul[f, M[rank]]
-        below = M[rank + 1:, c]
-        nz = np.nonzero(below)[0]
-        if nz.size:
-            idx = nz + rank + 1
-            facs = M[idx, c]
-            M[idx] = add[M[idx], neg[mul[facs[:, None], M[rank][None, :]]]]
-        rank += 1
-        if rank == R:
-            break
+        col = M[:, :, c]
+        cand = (col != 0) & ~used
+        has = cand.any(1)
+        piv = cand.argmax(1)
+        used[every, piv] |= has
+        rank += has
+        # pivot row scaled to a leading one; x - f*y on every unused row
+        y = mul[inv[col[every, piv]][:, None], M[every, piv, c + 1:]]
+        f = np.where(used, 0, col).astype(np.intp)
+        fy = negmulf[f[:, :, None] * q + y[:, None, :]]
+        M[:, :, c + 1:] = addf[M[:, :, c + 1:].astype(np.intp) * q + fy]
     return rank

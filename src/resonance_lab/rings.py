@@ -262,11 +262,13 @@ class _TableMixin:
     """numpy lookup tables shared by the scan kernels (finite rings only)."""
 
     def tables(self):
+        """(add, mul, neg, inv) in the smallest unsigned dtype holding q - 1."""
         q = self.cardinality
-        add = np.empty((q, q), dtype=np.int16)
-        mul = np.empty((q, q), dtype=np.int16)
-        neg = np.empty(q, dtype=np.int16)
-        inv = np.zeros(q, dtype=np.int16)
+        dt = np.min_scalar_type(q - 1)
+        add = np.empty((q, q), dtype=dt)
+        mul = np.empty((q, q), dtype=dt)
+        neg = np.empty(q, dtype=dt)
+        inv = np.zeros(q, dtype=dt)
         for a in range(q):
             neg[a] = self.neg(a)
             for b in range(q):

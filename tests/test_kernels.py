@@ -6,7 +6,7 @@ import pytest
 from resonance_lab import _kernels
 from resonance_lab.matroid import catalog
 from resonance_lab.osalg import dlambda_matrix, z_of
-from resonance_lab.rings import make_ring
+from resonance_lab.rings import make_ring, rank_field
 
 
 def test_backend_name_selection():
@@ -85,3 +85,56 @@ def test_empty_window_and_empty_basis():
     assert out.size == 0
     with pytest.raises(ValueError):
         _kernels.build_digit_map(lambda lam: [[0]], [], ring)
+
+
+def _reference_nullity(g, m, ring):
+    lam = _kernels.decode_candidate(g, ring.cardinality, m.n)
+    return m.n - rank_field(dlambda_matrix(lam, m, ring))
+
+
+def _full_scan(m, ring):
+    L, nr, nc = _digit_map(m, ring)
+    total = _kernels.projective_total(ring.cardinality, m.n)
+    return _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, total)
+
+
+@pytest.mark.parametrize("name,spec", [("nonfano", "F3"), ("pencil-4", "F9")])
+def test_scan_matches_rank_field_on_every_candidate(name, spec):
+    m, ring = catalog(name), make_ring(spec)
+    nul = _full_scan(m, ring)
+    assert nul.size == _kernels.projective_total(ring.cardinality, m.n)
+    for g in range(nul.size):
+        assert int(nul[g]) == _reference_nullity(g, m, ring), g
+
+
+@pytest.mark.parametrize("name,spec", [("braid-K4", "F9"), ("pencil-3", "F257")])
+def test_scan_matches_rank_field_on_resonant_and_sampled(name, spec):
+    # every candidate the scan calls resonant, plus seeded others
+    m, ring = catalog(name), make_ring(spec)
+    nul = _full_scan(m, ring)
+    resonant = np.nonzero(nul >= 2)[0]
+    assert resonant.size > 0
+    rng = np.random.default_rng(2)
+    sampled = rng.choice(nul.size, size=min(2000, nul.size), replace=False)
+    for g in map(int, np.union1d(resonant, sampled)):
+        assert int(nul[g]) == _reference_nullity(g, m, ring), g
+
+
+def test_windows_glue_across_block_boundaries():
+    m, ring = catalog("deletedB3"), make_ring("F4")
+    L, nr, nc = _digit_map(m, ring)
+    total = _kernels.projective_total(4, m.n)
+    full = _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, total)
+    windows = [(0, 1), (1, 4097), (4097, total)]
+    glued = np.concatenate([_kernels.scan_nullities(L, ring, m.n, nr, nc, lo, hi)
+                            for lo, hi in windows])
+    assert np.array_equal(full, glued)
+
+
+def test_zero_digit_map_has_full_nullity():
+    ring = make_ring("F4")
+    basis = [tuple(int(i == j) for j in range(3)) for i in range(3)]
+    L, nr, nc = _kernels.build_digit_map(lambda lam: [[0] * 5] * 4, basis, ring)
+    assert (nr, nc) == (4, 5) and not L.any()
+    nul = _kernels.scan_nullities(L, ring, 3, nr, nc, 0, 21)
+    assert nul.tolist() == [5] * 21
