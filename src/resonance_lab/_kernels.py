@@ -1,16 +1,28 @@
-"""Hot scan loops: batched nullity of candidate-indexed system matrices.
+"""Hot scan loops: batched elimination of candidate-indexed system matrices.
 
 For the scans, the map from a candidate weight to its system matrix is
 linear over the prime field in the base-p digits of the candidate's
-coordinates.  Each scan therefore precomputes one integer digit matrix L by
-evaluating the exact reference row builder on unit digit inputs.  A block of
-candidates then costs one float64 matmul (exact at these sizes) and one
-Gaussian elimination of the whole (B, R, C) block at once: a loop over the
-C columns whose steps are numpy operations on all B matrices, with field
-arithmetic through the ring's add/mul/inv tables plus negmul = -(a*b).
-Candidates are indexed by projective representative (first nonzero
-coordinate one), ordered by the position of that leading one and then
-lexicographically in the remaining coordinates.
+coordinates (over Z/p^k: linear over Z/p^k in the coordinates themselves,
+read as one base-p^k digit each).  Each scan therefore precomputes one
+integer digit matrix L by evaluating the exact reference row builder on
+unit digit inputs.  A block of candidates then costs one matmul (exact at
+these sizes) and one elimination of the whole (B, R, C) block at once,
+whose steps are numpy operations on all B matrices with ring arithmetic
+through add/mul lookup tables plus negmul = -(a*b).
+
+Fields and Z/p^k are both finite chain rings: every nonzero element is a
+unit times p^v.  Over a field (`scan_nullities`, candidates indexed by
+projective representative: first nonzero coordinate one, ordered by the
+position of that leading one and then lexicographically in the remaining
+coordinates) a loop over the columns pivots on the first unused row with a
+nonzero entry.  Over Z/p^k (`scan_lengths`, every tuple of (Z/p^k)^dim in
+`itertools.product` order) column-by-column pivots are wrong for k > 1,
+since over Z4 the row (2, 1) spans 4 elements, not 2.  Each step there
+pivots on an entry of least valuation v, scales its row to p^v and clears
+its column with the exact quotients b // p^v.  The row module has length
+sum (k - v) over the pivots, so the kernel has p^(k*C - length) elements.
+Z/N for composite N splits into its prime-power factors by the Chinese
+remainder theorem; the caller scans each factor and joins the answers.
 """
 
 from __future__ import annotations
@@ -20,7 +32,8 @@ from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .rings import ExtensionField, PrimeField, Ring
+from .rings import (ExtensionField, IntegersModN, PrimeField, Ring,
+                    prime_power_factors)
 
 __all__ = [
     "backend_name",
@@ -31,6 +44,8 @@ __all__ = [
     "projective_points",
     "build_digit_map",
     "scan_nullities",
+    "chain_params",
+    "scan_lengths",
 ]
 
 
@@ -46,6 +61,15 @@ def field_params(ring: Ring) -> Tuple[int, int, int]:
     if isinstance(ring, ExtensionField):
         return ring.p, ring.k, ring.cardinality
     raise ValueError(f"scan kernels need a finite field, not {ring.spec}")
+
+
+def chain_params(ring: Ring) -> Tuple[int, int]:
+    """(p, k) for Z/p^k."""
+    if isinstance(ring, IntegersModN):
+        factors = prime_power_factors(ring.n)
+        if len(factors) == 1:
+            return factors[0]
+    raise ValueError(f"chain ring kernels need Z/p^k, not {ring.spec}")
 
 
 def projective_total(q: int, dim: int) -> int:
@@ -90,9 +114,14 @@ def build_digit_map(system_rows: Callable[[tuple], Sequence[Sequence[int]]],
 
     Column (i, t) holds the base-p digits of the flattened matrix the exact
     row builder produces for the basis vector i scaled by x^t, which pins the
-    kernels to the reference implementation entry for entry.
+    kernels to the reference implementation entry for entry.  Z/N counts as
+    modulus N with extension degree 1: one column per basis vector, holding
+    the entries mod N.
     """
-    p, kext, _ = field_params(ring)
+    if isinstance(ring, IntegersModN):
+        p, kext = ring.n, 1
+    else:
+        p, kext, _ = field_params(ring)
     dim = len(basis)
     cols: List[np.ndarray] = []
     nrows = ncols = -1
@@ -152,7 +181,33 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
     return out
 
 
+def scan_lengths(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
+                 start: int, stop: int) -> np.ndarray:
+    """Length of the row module of the system matrix over Z/p^k for the
+    tuples start..stop-1 of (Z/p^k)^dim in `itertools.product` order; the
+    kernel has p^(k*ncols - length) elements."""
+    k = chain_params(ring)[1]
+    q = ring.n
+    tables = _chain_tables_for(ring)
+    Lt = L.T.astype(np.int64)
+    place = q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    out = np.zeros(stop - start, dtype=np.uint8)
+    for lo in range(start, stop, _CHAIN_BLOCK):
+        hi = min(lo + _CHAIN_BLOCK, stop)
+        gs = np.arange(lo, hi, dtype=np.int64)
+        coords = (gs[:, None] // place) % q
+        # an integer matmul: these blocks are too small to gain from BLAS,
+        # whose first call would allocate its buffers
+        mats = ((coords @ Lt) % q).reshape(
+            hi - lo, nrows, ncols).astype(tables[0].dtype)
+        out[lo - start:hi - start] = _block_length(mats, *tables, k)
+    return out
+
+
 _BLOCK = 4096
+# small blocks keep the (B, R, C) temporaries of the Z/p^k elimination,
+# which has more rows than the field scans, within a few hundred kB
+_CHAIN_BLOCK = 256
 _TABLE_CACHE: dict = {}
 
 
@@ -191,3 +246,57 @@ def _block_rank(M, add, mul, negmul, inv) -> np.ndarray:
         fy = negmulf[f[:, :, None] * q + y[:, None, :]]
         M[:, :, c + 1:] = addf[M[:, :, c + 1:].astype(np.intp) * q + fy]
     return rank
+
+
+def _chain_tables_for(ring: Ring):
+    """(add, mul, negmul, val, unit, shift) for Z/p^k: val[a] = v_p(a) with
+    val[0] = k; unit[a] is a unit with unit[a] * a = p^val[a] (unit[0] = 0);
+    shift[v, a] = a // p^v."""
+    key = ("chain", ring.spec)
+    if key not in _TABLE_CACHE:
+        p, k = chain_params(ring)
+        q = ring.n
+        add, mul, neg, _ = ring.tables()
+        val = [k] + [next(v for v in range(k) if a % p ** (v + 1))
+                     for a in range(1, q)]
+        unit = [0] + [next(w for w in range(q) if w % p
+                           and w * a % q == p ** val[a]) for a in range(1, q)]
+        shift = [[a // p ** v for a in range(q)] for v in range(k + 1)]
+        _TABLE_CACHE[key] = (add, mul, neg[mul],
+                             np.array(val, dtype=np.uint8),
+                             np.array(unit, dtype=mul.dtype),
+                             np.array(shift, dtype=mul.dtype))
+    return _TABLE_CACHE[key]
+
+
+def _block_length(M, add, mul, negmul, val, unit, shift, k) -> np.ndarray:
+    """Lengths of the row modules of the B matrices of M (B, R, C) over
+    Z/p^k, eliminated together in place.
+
+    Each step takes, per matrix, an entry a = M[r, c] of least valuation v
+    in the whole matrix and y = row r scaled so that a becomes p^v.  Every
+    row b then loses (b[c] // p^v) * y; p^v divides every entry because v
+    is minimal.  This zeroes column c and row r itself (row r is a unit
+    multiple of y and its entries are divisible by p^v), and splits off
+    y, of length k - v, as a direct summand.  No column operations are
+    needed, and the length is the sum of k - v over the steps.
+    """
+    B, R, C = M.shape
+    q = add.shape[0]
+    addf, negmulf = add.ravel(), negmul.ravel()
+    idx = np.int32 if q * q < 2 ** 31 else np.intp  # table indices a * q + b
+    every = np.arange(B)
+    length = np.zeros(B, dtype=np.int64)
+    for _ in range(min(R, C)):
+        V = val[M]
+        r, c = np.divmod(V.reshape(B, R * C).argmin(1), C)
+        v = V[every, r, c]
+        if (v == k).all():
+            break
+        length += k - v
+        # a zero matrix has v = k, and shift[k] is all zero
+        y = mul[unit[M[every, r, c]][:, None], M[every, r]]
+        f = shift[v[:, None], M[every, :, c]].astype(idx)
+        M[...] = addf[M.astype(idx) * q
+                      + negmulf[f[:, :, None] * q + y[:, None, :]]]
+    return length

@@ -2,12 +2,19 @@
 stratification, vanishing-form interpolation, and the regulus demo.
 
 Scans enumerate one representative per projective class over fields (first
-nonzero coordinate one) and every nonzero tuple over Z/N.  Each reported
-point's Z(lambda) is computed once; over a field its dimension must equal
-the kernel nullity.  Every point's partner eta is then checked by evaluating
-a_lambda ∧ a_eta directly, and the same eta picks the point's graph.  All
-caps are explicit; RESONANCE_LAB_CAP overrides the default budget.  Range
-splitting is deterministic, so reports are identical for any worker count.
+nonzero coordinate one) and every nonzero tuple over Z/N.  Over a field a
+weight is resonant iff its kernel nullity is at least 2.  Over Z/N it is
+resonant iff Z(lambda) is larger than its parallel locus P(lambda); both
+split over the prime-power factors of N, so the batched kernel decides every
+tuple of each factor ring once, and a weight is reported when some factor
+of it is resonant.  Each reported point's Z(lambda) is then computed once
+on the exact path (Howell generators over Z/N): over a field its dimension
+must equal the kernel nullity, over Z/N it must hold a partner that is not
+parallel to lambda.  Every point's partner eta is then checked by
+evaluating a_lambda ∧ a_eta directly, and the same eta picks the point's
+graph.  All caps are explicit; RESONANCE_LAB_CAP overrides the default
+budget.  Range splitting is deterministic, so reports are identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -27,9 +34,10 @@ from .graphs import Graph
 from .linegeom import Subspace, depth as geom_depth, span
 from .matroid import Matroid
 from .neighborly import CapExceeded, k_gamma, zgamma_rows
-from .osalg import dlambda_matrix, pair_graph, z_of
+from .osalg import dlambda_matrix, dlambda_rows_index, pair_graph, z_of
 from .osalg import is_resonant  # noqa: F401  perfbench/selftest.py reads oracle.is_resonant
-from .rings import IntegersModN, Matrix, Ring, is_parallel, kernel_field, rank_field
+from .rings import (IntegersModN, Matrix, Ring, is_parallel, kernel_field,
+                    prime_power_factors, rank_field)
 
 __all__ = [
     "DEFAULT_CAP",
@@ -130,8 +138,11 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
     """Classify every nonzero weight of a finite ring as resonant or not.
 
     Fields walk one representative per projective class through the digit
-    kernels; Z/N walks all nonzero tuples through the exact module path.
-    Every reported point's partner is verified by direct wedge evaluation.
+    kernels.  Z/N walks all nonzero tuples in `itertools.product` order and
+    reports a tuple when the batched kernel over some prime-power factor
+    calls its image resonant; only the reported tuples take the exact
+    module path, for their partner.  Every reported point's partner is
+    verified by direct wedge evaluation.
     """
     t0 = time.perf_counter()
     budget = _budget(cap)
@@ -176,15 +187,60 @@ def _scan_resonance_field(m: Matroid, ring: Ring,
 
 def _scan_resonance_modn(m: Matroid,
                          ring: IntegersModN) -> List[Tuple[ScanPoint, tuple]]:
+    N, n = ring.n, m.n
+    powers = np.arange(n - 1, -1, -1, dtype=np.int64)
+    factors = [(p ** k, _resonant_mask(m, IntegersModN(p ** k)))
+               for p, k in prime_power_factors(N)]
     out = []
-    for lam in itertools.product(range(ring.n), repeat=m.n):
-        if not any(lam):
-            continue
-        gens = z_of(lam, m, ring)
-        wit = next((g for g in gens if not is_parallel(lam, g, ring)), None)
-        if wit is not None:
+    for lo in range(1, N ** n, _WALK_BLOCK):
+        gs = np.arange(lo, min(lo + _WALK_BLOCK, N ** n), dtype=np.int64)
+        coords = (gs[:, None] // N ** powers) % N
+        hit = np.zeros(gs.size, dtype=bool)
+        for q, mask in factors:
+            hit |= mask[(coords % q) @ q ** powers]
+        for row in coords[hit]:
+            lam = tuple(int(x) for x in row)
+            gens = z_of(lam, m, ring)
+            wit = next((g for g in gens if not is_parallel(lam, g, ring)),
+                       None)
+            if wit is None:
+                raise ValueError(f"the batched kernel calls {lam} resonant, "
+                                 f"which disagrees with its Howell generators")
             out.append((ScanPoint(lam, witness=wit), wit))
     return out
+
+
+_WALK_BLOCK = 1024
+
+
+def _stacked_rows(lam: Sequence, m: Matroid, ring: Ring) -> List[tuple]:
+    """Rows of d_lambda, then one row per pair i < j for the minor
+    lambda_i eta_j - lambda_j eta_i, whose common kernel is the parallel
+    locus P(lambda) of eta."""
+    rows = list(dlambda_matrix(lam, m, ring).rows)
+    for i, j in itertools.combinations(range(m.n), 2):
+        row = [ring.zero] * m.n
+        row[i], row[j] = ring.neg(lam[j]), lam[i]
+        rows.append(tuple(row))
+    return rows
+
+
+def _resonant_mask(m: Matroid, ring: IntegersModN) -> np.ndarray:
+    """Resonance of every tuple of (Z/p^k)^n, in `itertools.product` order.
+
+    Each row of d_lambda is a sum of 2x2 minors of [lambda | eta], so
+    P(lambda) lies inside Z(lambda), and lambda is resonant iff
+    |Z(lambda)| > |P(lambda)|, i.e. iff d_lambda alone has a shorter row
+    module than d_lambda stacked on the minors rows.
+    """
+    basis = [tuple(int(j == i) for j in range(m.n)) for i in range(m.n)]
+    L, nr, nc = _kernels.build_digit_map(
+        lambda lam: _stacked_rows(lam, m, ring), basis, ring)
+    nd = len(dlambda_rows_index(m))
+    total = ring.n ** m.n
+    z_len = _kernels.scan_lengths(L[:nd * nc], ring, m.n, nd, nc, 0, total)
+    p_len = _kernels.scan_lengths(L, ring, m.n, nr, nc, 0, total)
+    return z_len < p_len
 
 
 def _group_by_graph(found: Sequence[Tuple[ScanPoint, tuple]], m: Matroid,

@@ -24,6 +24,7 @@ __all__ = [
     "ExtensionField",
     "IntegersModN",
     "make_ring",
+    "prime_power_factors",
     "Matrix",
     "minors2",
     "is_parallel",
@@ -152,6 +153,23 @@ def _is_prime(n: int) -> bool:
             return False
         f += 1
     return True
+
+
+def prime_power_factors(n: int) -> List[Tuple[int, int]]:
+    """(p, k) for each prime power p^k exactly dividing n >= 1, ascending."""
+    out = []
+    f = 2
+    while n > 1:
+        if f * f > n:
+            f = n
+        k = 0
+        while n % f == 0:
+            n //= f
+            k += 1
+        if k:
+            out.append((f, k))
+        f += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -729,12 +747,15 @@ def _unit_to_divisor(a: int, n: int) -> int:
 
 
 def howell_form(rows: Iterable[Sequence[int]], n_mod: int) -> List[tuple]:
-    """Canonical Howell form of the row module of `rows` over Z/n_mod.
+    """Howell form of the row module of `rows` over Z/n_mod.
 
-    Two generating sets span the same submodule of (Z/N)^n iff their Howell
-    forms are equal, which is what makes module-equality checks syntactic.
-    Pivots divide N, entries above a pivot are reduced mod the pivot, and the
-    form is closed under the leading-zero multiples (N/pivot)*row.
+    Pivots divide N and the form is closed under the leading-zero multiples
+    (N/pivot)*row, so reduction against it decides membership
+    (`howell_contains`).  It is not canonical: entries above the pivots are
+    reduced in reverse pivot order, so a later reduction can push an entry
+    back out of [0, pivot).  The rows (1,1,0), (0,1,1), (0,0,2) and (1,0,1),
+    (0,1,1), (0,0,2) span the same module over Z4, yet their first rows come
+    out as (1,0,3) and (1,0,1); equal forms are not a test of equal modules.
     """
     N = n_mod
     ncols = None
@@ -782,7 +803,8 @@ def howell_form(rows: Iterable[Sequence[int]], n_mod: int) -> List[tuple]:
 
 
 def kernel_modn(M: Matrix) -> List[tuple]:
-    """Howell-canonical generators of {x : M x = 0 over Z/N}.
+    """Howell-form generators of {x : M x = 0 over Z/N} (see `howell_form`:
+    the form is not canonical).
 
     Route: integer lift of M augmented by N*I, Smith normal form, integer
     kernel basis read off the column transform, projected back mod N and

@@ -6,7 +6,7 @@ import pytest
 from resonance_lab import _kernels
 from resonance_lab.matroid import catalog
 from resonance_lab.osalg import dlambda_matrix, z_of
-from resonance_lab.rings import make_ring, rank_field
+from resonance_lab.rings import make_ring, prime_power_factors, rank_field
 
 
 def test_backend_name_selection():
@@ -138,3 +138,78 @@ def test_zero_digit_map_has_full_nullity():
     assert (nr, nc) == (4, 5) and not L.any()
     nul = _kernels.scan_nullities(L, ring, 3, nr, nc, 0, 21)
     assert nul.tolist() == [5] * 21
+
+
+def _module_size(rows, q, ncols):
+    """|row module| of rows over Z/q: {0} closed under adding every multiple
+    of every row, listed element by element."""
+    span = np.zeros((1, ncols), dtype=np.int64)
+    for r in rows:
+        multiples = np.outer(np.arange(q), r) % q
+        span = np.unique(((span[:, None, :] + multiples).reshape(-1, ncols))
+                         % q, axis=0)
+    return len(span)
+
+
+def _block_length(mats, ring):
+    M = np.array(mats, dtype=np.uint8)
+    k = _kernels.chain_params(ring)[1]
+    return _kernels._block_length(M, *_kernels._chain_tables_for(ring), k)
+
+
+def test_block_length_of_a_row_with_a_nonunit_lead():
+    # over Z4 the row (2, 1) spans 4 elements, so a column-by-column pivot
+    # on the 2 would undercount it
+    ring = make_ring("Z4")
+    assert _module_size([(2, 1)], 4, 2) == 4
+    assert _block_length([[(2, 1)], [(2, 0)], [(0, 0)], [(2, 2)]],
+                         ring).tolist() == [2, 1, 0, 1]
+
+
+@pytest.mark.parametrize("spec", ["Z2", "Z3", "Z4", "Z8", "Z9"])
+def test_block_length_matches_brute_force_module_size(spec):
+    ring = make_ring(spec)
+    p, k = _kernels.chain_params(ring)
+    q = ring.n
+    rng = np.random.default_rng(k * 100 + p)
+    checked = 0
+    for _ in range(8):
+        R, C = map(int, rng.integers(1, 4, size=2))
+        # entries drawn with extra weight on zero and on multiples of p
+        mats = rng.integers(0, q, size=(5, R, C))
+        mats = np.where(rng.random(mats.shape) < 0.3, (mats * p) % q, mats)
+        mats = np.where(rng.random(mats.shape) < 0.2, 0, mats)
+        got = _block_length(mats, ring)
+        for b in range(5):
+            size = _module_size(mats[b].tolist(), q, C)
+            assert p ** int(got[b]) == size, (mats[b].tolist(), int(got[b]))
+            checked += 1
+    assert checked == 40
+
+
+def test_chain_params():
+    assert prime_power_factors(360) == [(2, 3), (3, 2), (5, 1)]
+    assert prime_power_factors(97) == [(97, 1)]
+    assert _kernels.chain_params(make_ring("Z8")) == (2, 3)
+    assert _kernels.chain_params(make_ring("Z3")) == (3, 1)
+    for spec in ("Z6", "Z12", "F4"):
+        with pytest.raises(ValueError):
+            _kernels.chain_params(make_ring(spec))
+
+
+def test_chain_windows_glue_across_block_boundaries():
+    m, ring = catalog("braid-K4"), make_ring("Z4")
+    L, nr, nc = _digit_map(m, ring)
+    total = 4 ** m.n
+    full = _kernels.scan_lengths(L, ring, m.n, nr, nc, 0, total)
+    edge = _kernels._CHAIN_BLOCK + 1
+    windows = [(0, 1), (1, edge), (edge, total)]
+    glued = np.concatenate([_kernels.scan_lengths(L, ring, m.n, nr, nc, lo, hi)
+                            for lo, hi in windows])
+    assert np.array_equal(full, glued)
+    # and each length is the one of the exact matrix, on a seeded sample
+    rng = np.random.default_rng(3)
+    for g in map(int, rng.choice(total, size=30, replace=False)):
+        lam = tuple((g // 4 ** (m.n - 1 - i)) % 4 for i in range(m.n))
+        rows = dlambda_matrix(lam, m, ring).rows
+        assert 2 ** int(full[g]) == _module_size(rows, 4, nc), lam

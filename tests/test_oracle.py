@@ -1,6 +1,7 @@
 """Exhaustive scans, interpolation, and the regulus demonstration."""
 
 import itertools
+import random
 
 import pytest
 
@@ -137,9 +138,11 @@ def test_scan_field_raises_when_nullity_disagrees_with_z(monkeypatch):
 def test_scan_modn_raises_on_partner_outside_z(monkeypatch):
     m = catalog("pencil-3")
     Z4 = make_ring("Z4")
-    # Z((1,0,0)) holds only multiples of lambda; (0,1,0) is not parallel to
-    # it and a_lambda ∧ a_eta != 0, so the wedge check must refuse it
-    bad_lam, bad_eta = (1, 0, 0), (0, 1, 0)
+    # (1,1,2) is reported (its line sum is 0, so Z holds every eta with
+    # zero sum); (0,1,0) is not parallel to it and a_lambda ∧ a_eta != 0,
+    # so the wedge check must refuse it
+    bad_lam, bad_eta = (1, 1, 2), (0, 1, 0)
+    assert osalg.is_resonant(bad_lam, m, Z4)
     assert not wedge_is_zero(bad_lam, bad_eta, m, Z4)
     assert not is_parallel(bad_lam, bad_eta, Z4)
 
@@ -149,6 +152,63 @@ def test_scan_modn_raises_on_partner_outside_z(monkeypatch):
     monkeypatch.setattr(oracle, "z_of", wrong_z)
     with pytest.raises(ValueError, match="not resonant"):
         scan_resonance(m, Z4)
+
+
+def test_scan_modn_raises_when_mask_disagrees_with_z(monkeypatch):
+    m = catalog("pencil-3")
+    Z4 = make_ring("Z4")
+    flagged = (1, 0, 0)
+    assert not osalg.is_resonant(flagged, m, Z4)
+    index = list(itertools.product(range(4), repeat=3)).index(flagged)
+    nd = len(osalg.dlambda_rows_index(m))
+    real = _kernels.scan_lengths
+
+    def bumped(L, ring, dim, nrows, ncols, start, stop):
+        out = real(L, ring, dim, nrows, ncols, start, stop)
+        if nrows > nd:  # d_lambda stacked on the minors: shrink P(lambda)
+            out[index - start] += 1
+        return out
+
+    monkeypatch.setattr(_kernels, "scan_lengths", bumped)
+    with pytest.raises(ValueError, match="disagrees"):
+        scan_resonance(m, Z4)
+
+
+@pytest.mark.parametrize("name,spec", [
+    ("pencil-3", "Z4"), ("pencil-3", "Z6"), ("pencil-3", "Z9"),
+    ("pencil-3", "Z12"), ("pencil-4", "Z8")])
+def test_scan_modn_matches_is_resonant_on_every_weight(name, spec):
+    m, ring = catalog(name), make_ring(spec)
+    rep = scan_resonance(m, ring)
+    expected = [lam for lam in itertools.product(range(ring.n), repeat=m.n)
+                if osalg.is_resonant(lam, m, ring)]
+    assert [p.lam for p in rep.points] == expected
+
+
+def test_scan_modn_matches_is_resonant_braid_sampled():
+    m, ring = catalog("braid-K4"), make_ring("Z4")
+    rep = scan_resonance(m, ring)
+    reported = [p.lam for p in rep.points]
+    assert len(reported) == 975
+    assert all(osalg.is_resonant(lam, m, ring) for lam in reported)
+    rest = sorted(set(itertools.product(range(4), repeat=m.n))
+                  - set(reported) - {(0,) * m.n})
+    rng = random.Random(7)
+    for lam in rng.sample(rest, 1000):
+        assert not osalg.is_resonant(lam, m, ring), lam
+
+
+def test_scan_modn_does_not_depend_on_walk_block(monkeypatch):
+    # pencil-4/Z6 walks 1295 weights: with blocks of 100 the walk crosses
+    # 12 block boundaries and must report exactly the same points
+    m, ring = catalog("pencil-4"), make_ring("Z6")
+    full = scan_resonance(m, ring).to_jsonable()
+    assert full["resonant_count"] > 0
+    monkeypatch.setattr(oracle, "_WALK_BLOCK", 100)
+    small = scan_resonance(m, ring).to_jsonable()
+    for rep in (full, small):
+        rep.pop("seconds")
+    assert small == full
 
 
 def _count_calls(monkeypatch, module, name):
@@ -166,8 +226,8 @@ def _count_calls(monkeypatch, module, name):
 def test_scan_computes_each_z_once(monkeypatch):
     modn = _count_calls(monkeypatch, osalg, "kernel_modn")
     field = _count_calls(monkeypatch, osalg, "kernel_field")
-    scan_resonance(catalog("pencil-3"), make_ring("Z4"))
-    assert len(modn) == 4 ** 3 - 1
+    rep = scan_resonance(catalog("pencil-3"), make_ring("Z4"))
+    assert len(modn) == len(rep.points) == 27
     assert not field
     rep = scan_resonance(catalog("nonfano"), F3)
     assert len(rep.points) > 0
