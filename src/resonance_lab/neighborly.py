@@ -277,16 +277,19 @@ def enumerate_neighborly(m: Matroid, ring: Ring, partitions_only: bool = True,
     """Neighborly graphs whose weight space contains a non-parallel pair.
 
     partitions_only walks every choice of cone-vertex set and partition of
-    the remaining vertices (the transitive graphs); otherwise every edge set
-    containing the trivial lines is tried.  full_support drops graphs with a
-    cone vertex.  Hard bounds: n <= 12 for partitions, n <= 8 for all
-    graphs; CapExceeded beyond them.
+    the remaining vertices (the transitive graphs), pruned by clique
+    closure as the partition grows (`_partition_walk`); `is_neighborly`
+    then checks each distinct graph the walk emits, and a failure raises
+    ValueError.  Otherwise every edge set containing the trivial lines is
+    tried and filtered by `is_neighborly`.  full_support drops graphs with a
+    cone vertex.  Hard bounds: n <= 12 for partitions (under 1 s for the
+    walk on the Hessian), n <= 8 for all graphs; CapExceeded beyond them.
     """
     n = m.n
     if partitions_only:
         if n > 12:
             raise CapExceeded(f"partition enumeration capped at n=12, got {n}")
-        candidates = _partition_graphs(n)
+        candidates = _partition_walk(m, cone_free=full_support)
     else:
         if n > 8:
             raise CapExceeded(f"full graph enumeration capped at n=8, got {n}")
@@ -299,6 +302,9 @@ def enumerate_neighborly(m: Matroid, ring: Ring, partitions_only: bool = True,
         if full_support and g.cone_vertices:
             continue
         if not is_neighborly(g, m):
+            if partitions_only:
+                raise ValueError(f"partition walk emitted {g!r}, which is "
+                                 f"not neighborly for {m.name or m}")
             continue
         if not _k_has_pair(g, m, ring, cap):
             continue
@@ -306,18 +312,62 @@ def enumerate_neighborly(m: Matroid, ring: Ring, partitions_only: bool = True,
     return out
 
 
-def _partition_graphs(n: int) -> Iterator[Graph]:
-    verts = list(range(1, n + 1))
-    for size in range(n + 1):
+def _partition_walk(m: Matroid, cone_free: bool = False) -> Iterator[Graph]:
+    """Partition graphs that pass clique closure, duplicates included.
+
+    Cone sets C come by size, then in `itertools.combinations` order (only
+    the empty one when cone_free); for each, the points outside C are put
+    into blocks in restricted-growth-string order, the order of
+    `set_partitions`.  A set meets C and at most one block exactly when it
+    is a clique, so a line X fails clique closure exactly when Y = X - C
+    meets two blocks and one of them holds a single point of Y.  Each line
+    with |Y| >= 2 is checked once, when its last point is placed, and a
+    failing branch is cut there: no partition below it can repair the line.
+    """
+    verts = range(1, m.n + 1)
+    lines = m.all_lines
+    for size in range(1 if cone_free else m.n + 1):
         for cone in itertools.combinations(verts, size):
-            rest = [v for v in verts if v not in cone]
-            for blocks in set_partitions(rest):
-                edges = set()
-                for b in blocks:
-                    edges.update(itertools.combinations(b, 2))
-                for c in cone:
-                    edges.update(tuple(sorted((c, v))) for v in verts if v != c)
-                yield Graph.from_edges(n, edges)
+            yield from _cone_partition_graphs(m.n, cone, lines)
+
+
+def _cone_partition_graphs(n: int, cone: Tuple[int, ...],
+                           lines: Sequence[Tuple[int, ...]]) -> List[Graph]:
+    """Graphs of one cone set's surviving partitions, in RGS order."""
+    rest = [v for v in range(1, n + 1) if v not in cone]
+    pos = {v: i for i, v in enumerate(rest)}
+    checks: List[List[Tuple[int, ...]]] = [[] for _ in rest]
+    for X in lines:
+        ys = [pos[v] for v in X if v in pos]
+        if len(ys) >= 2:
+            checks[ys[-1]].append(tuple(ys))
+    cone_edges = [(c, v) for c in cone for v in range(1, n + 1) if v != c]
+    label = [0] * len(rest)
+    out: List[Graph] = []
+
+    def closed(Y) -> bool:
+        counts: Dict[int, int] = {}
+        for p in Y:
+            counts[label[p]] = counts.get(label[p], 0) + 1
+        return len(counts) != 2 or 1 not in counts.values()
+
+    def place(i: int, nblocks: int) -> None:
+        if i == len(rest):
+            blocks: List[List[int]] = [[] for _ in range(nblocks)]
+            for v, b in zip(rest, label):
+                blocks[b].append(v)
+            edges = list(cone_edges)
+            for b in blocks:
+                edges.extend(itertools.combinations(b, 2))
+            out.append(Graph.from_edges(n, edges))
+            return
+        for b in range(nblocks + 1):
+            label[i] = b
+            if all(closed(Y) for Y in checks[i]):
+                place(i + 1, max(nblocks, b + 1))
+
+    place(0, 0)
+    return out
 
 
 def _all_graphs(m: Matroid) -> Iterator[Graph]:
