@@ -10,6 +10,17 @@ these sizes) and one elimination of the whole (B, R, C) block at once,
 whose steps are numpy operations on all B matrices with ring arithmetic
 through add/mul lookup tables plus negmul = -(a*b).
 
+Over a field many rows of the system matrix carry nothing: as linear
+functions of the digits they vanish or repeat others (the Hessian component
+over F9 has 48 rows whose span has dimension 9 over F3).  `scan_nullities`
+therefore first reshapes each row's block of L to one vector and keeps an
+F_p echelon basis of those vectors (`_row_basis`).  This is exact: F_p lies
+in F_q, and an F_p combination of digit vectors is the same combination of
+the F_q entries, so at every candidate the basis rows span the row space of
+the system matrix, with the same rank.  The signature keeps the nominal
+`nrows` of `build_digit_map`; an empty basis means nullity `ncols`
+everywhere, with no elimination at all.
+
 Fields and Z/p^k are both finite chain rings: every nonzero element is a
 unit times p^v.  Over a field (`scan_nullities`, candidates indexed by
 projective representative: first nonzero coordinate one, ordered by the
@@ -151,8 +162,23 @@ def build_digit_map(system_rows: Callable[[tuple], Sequence[Sequence[int]]],
 
 def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
                    start: int, stop: int) -> np.ndarray:
-    """Nullity of the system matrix for projective candidates start..stop-1."""
+    """Nullity of the system matrix for projective candidates start..stop-1.
+
+    `nrows` is the nominal row count, the one `build_digit_map` returns.
+    Only an F_p basis of the rows, as linear functions of the candidate's
+    digits (each row's block of L reshaped to one vector), is eliminated:
+    an F_p combination of digit vectors is the same combination of the F_q
+    entries, so at every candidate the basis rows span the same F_q row
+    space as the system matrix and the nullity is unchanged.  An empty
+    basis gives nullity `ncols` for every candidate without any block.
+    """
     p, kext, q = field_params(ring)
+    width = L.shape[1]
+    rows = _row_basis(L.reshape(nrows, ncols * kext * width), p)
+    nrows = rows.shape[0]
+    if nrows == 0:
+        return np.full(stop - start, ncols, dtype=np.uint8)
+    L = rows.reshape(nrows * ncols * kext, width)
     offs = lead_offsets(q, dim)
     add, mul, negmul, inv = _tables_for(ring)
     pw = p ** np.arange(kext, dtype=np.int64)
@@ -218,6 +244,33 @@ def _tables_for(ring: Ring):
         add, mul, neg, inv = ring.tables()
         _TABLE_CACHE[key] = (add, mul, neg[mul], inv)
     return _TABLE_CACHE[key]
+
+
+def _row_basis(A: np.ndarray, p: int) -> np.ndarray:
+    """An F_p basis of the row space of A: the nonzero rows of an echelon
+    form of A mod p, as an int64 array of shape (rank, W)."""
+    A = np.asarray(A, dtype=np.int64) % p
+    keep = np.flatnonzero(A.any(0))  # row operations keep zero columns zero
+    E = A[:, keep]
+    rank = 0
+    for c in range(E.shape[1]):
+        nz = np.flatnonzero(E[rank:, c])
+        if nz.size == 0:
+            continue
+        if nz[0]:
+            E[[rank, rank + nz[0]]] = E[[rank + nz[0], rank]]
+        lead = int(E[rank, c])
+        if lead != 1:
+            E[rank] = E[rank] * pow(lead, -1, p) % p
+        if nz.size > 1:
+            rows = rank + nz[1:]
+            E[rows] = (E[rows] - E[rows, c, None] * E[rank]) % p
+        rank += 1
+        if rank == E.shape[0]:
+            break
+    out = np.zeros((rank, A.shape[1]), dtype=np.int64)
+    out[:, keep] = E[:rank]
+    return out
 
 
 def _block_rank(M, add, mul, negmul, inv) -> np.ndarray:

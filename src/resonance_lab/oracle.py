@@ -309,12 +309,8 @@ def scan_component(graph: Graph, m: Matroid, ring: Ring,
         raise CapExceeded(
             f"{ring.cardinality}**{dim_k} K-weights exceed the budget {budget}")
 
-    def rows_fn(lam):
-        amb = zgamma_rows(lam, graph, m, ring)
-        return [tuple(ring.sum(ring.mul(row[i], b[i]) for i in range(m.n))
-                      for b in kb) for row in amb]
-
-    L, nr, nc = _kernels.build_digit_map(rows_fn, kb, ring)
+    L, nr, nc = _kernels.build_digit_map(
+        lambda lam: _k_rows(lam, graph, m, ring, kb), kb, ring)
     total = _kernels.projective_total(ring.cardinality, dim_k)
     nullities = _scan_all(L, ring, dim_k, nr, nc, total, jobs)
     strata = tuple((d, int(c)) for d, c in enumerate(np.bincount(nullities))
@@ -326,6 +322,14 @@ def scan_component(graph: Graph, m: Matroid, ring: Ring,
                        int(nullities[g])))
     return ComponentScan(graph, m.name, ring.spec, dim_k, total, strata,
                          tuple(points), time.perf_counter() - t0, budget)
+
+
+def _k_rows(lam: Sequence, graph: Graph, m: Matroid, ring: Ring,
+            kb: Sequence[tuple]) -> List[tuple]:
+    """Rows of the Z_Gamma(lambda) system projected onto K: each ambient
+    row r becomes (r . b for b in kb), so the kernel is in K-coordinates."""
+    return [tuple(ring.sum(ring.mul(row[i], b[i]) for i in range(m.n))
+                  for b in kb) for row in zgamma_rows(lam, graph, m, ring)]
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +419,15 @@ def regulus_check(ring: Ring, seed: int = 0,
                   max_resamples: int = 100) -> RegulusReport:
     """Three random pairwise-disjoint planes in F_q^4: the carrier of their
     line complex should be the (q+1)^2 points of a hyperbolic quadric, all
-    of depth one."""
+    of depth one.  The carrier walk is charged q^4 points, like a scan of
+    F_q^4: above the default budget (or RESONANCE_LAB_CAP) it raises
+    CapExceeded before any plane is sampled."""
     if not ring.is_field or ring.cardinality is None:
         raise ValueError("regulus check needs a finite field")
     q = ring.cardinality
+    budget = _budget(None)
+    if q ** 4 > budget:
+        raise CapExceeded(f"{q}**4 points exceed the budget {budget}")
     rng = random.Random(seed)
     tries = 0
     while True:
