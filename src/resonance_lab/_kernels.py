@@ -32,6 +32,8 @@ since over Z4 the row (2, 1) spans 4 elements, not 2.  Each step there
 pivots on an entry of least valuation v, scales its row to p^v and clears
 its column with the exact quotients b // p^v.  The row module has length
 sum (k - v) over the pivots, so the kernel has p^(k*C - length) elements.
+`_min_valuations` gives the least valuation of each tuple's coordinates in
+the same order, which fixes the length of the parallel locus's row module.
 Z/N for composite N splits into its prime-power factors by the Chinese
 remainder theorem; the caller scans each factor and joins the answers.
 """
@@ -39,7 +41,7 @@ remainder theorem; the caller scans each factor and joins the answers.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -119,7 +121,8 @@ def projective_points(q: int, dim: int) -> Iterator[tuple]:
 
 
 def build_digit_map(system_rows: Callable[[tuple], Sequence[Sequence[int]]],
-                    basis: Sequence[tuple], ring: Ring
+                    basis: Sequence[tuple], ring: Ring,
+                    ncols: Optional[int] = None
                     ) -> Tuple[np.ndarray, int, int]:
     """Digit matrix of the candidate -> system-matrix map.
 
@@ -127,7 +130,8 @@ def build_digit_map(system_rows: Callable[[tuple], Sequence[Sequence[int]]],
     row builder produces for the basis vector i scaled by x^t, which pins the
     kernels to the reference implementation entry for entry.  Z/N counts as
     modulus N with extension degree 1: one column per basis vector, holding
-    the entries mod N.
+    the entries mod N.  `ncols` is the width of the system matrix; left out,
+    it is read from the first row, so a system with no rows needs it.
     """
     if isinstance(ring, IntegersModN):
         p, kext = ring.n, 1
@@ -135,7 +139,7 @@ def build_digit_map(system_rows: Callable[[tuple], Sequence[Sequence[int]]],
         p, kext, _ = field_params(ring)
     dim = len(basis)
     cols: List[np.ndarray] = []
-    nrows = ncols = -1
+    nrows = -1
     for i in range(dim):
         for t in range(kext):
             scalar = p ** t  # the encoding of x^t
@@ -143,7 +147,10 @@ def build_digit_map(system_rows: Callable[[tuple], Sequence[Sequence[int]]],
             rows = system_rows(lam)
             if nrows < 0:
                 nrows = len(rows)
-                ncols = len(rows[0]) if rows else 0
+                if ncols is None:
+                    if not rows:
+                        raise ValueError("a system with no rows needs ncols")
+                    ncols = len(rows[0])
             col = np.zeros(nrows * ncols * kext, dtype=np.int64)
             pos = 0
             for r in rows:
@@ -230,9 +237,22 @@ def scan_lengths(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
     return out
 
 
+def _min_valuations(ring: Ring, dim: int) -> np.ndarray:
+    """Least p-adic valuation of the coordinates of every tuple of
+    (Z/p^k)^dim, in the order of `scan_lengths` (k for the zero tuple):
+    a uint8 broadcast minimum of `val` over the (q,)*dim grid."""
+    val = _chain_tables_for(ring)[3]
+    out = val
+    for _ in range(dim - 1):
+        out = np.minimum.outer(out, val)
+    return out.ravel()
+
+
 _BLOCK = 4096
-# small blocks keep the (B, R, C) temporaries of the Z/p^k elimination,
-# which has more rows than the field scans, within a few hundred kB
+# each step of the Z/p^k elimination reads and rewrites the whole (B, R, C)
+# block through int32 table indices, so small blocks keep its temporaries
+# within a few hundred kB; on deletedB3's 19x8 d_lambda map over Z4, blocks
+# of 256 and 1024 scan equally fast and 4096 is slower
 _CHAIN_BLOCK = 256
 _TABLE_CACHE: dict = {}
 

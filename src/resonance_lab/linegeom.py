@@ -60,9 +60,6 @@ class Subspace:
         rows = list(self.basis) + [v]
         return rank_field(Matrix.from_rows(self.ring, rows, width=self.n)) == self.dim
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(b) for b in self.basis)
-
     def coordinates_of(self, v: Sequence) -> tuple:
         """Coefficients of v against the echelon basis; raises if v is outside."""
         R = self.ring
@@ -180,12 +177,6 @@ class DirectrixArrangement:
     def proper_part(self) -> Tuple[Directrix, ...]:
         """Members of codimension > 1 in K; only these can cut a line down."""
         return tuple(d for d in self.members if self.k.dim - d.dim > 1)
-
-    def to_k_coords(self, v: Sequence) -> tuple:
-        return self.k.coordinates_of(v)
-
-    def to_ambient(self, c: Sequence) -> tuple:
-        return self.ring.combine(self.ring.coerce_vector(c), self.k.basis, self.k.n)
 
     def depth(self, xi: Sequence) -> int:
         return depth(xi, [d.space for d in self.members], within=self.k)

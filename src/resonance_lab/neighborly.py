@@ -21,7 +21,6 @@ from .rings import (IntegersModN, Matrix, Ring, howell_contains, is_parallel,
                     kernel_field, kernel_modn)
 
 __all__ = [
-    "NeighborlyGraph",
     "CapExceeded",
     "KPredicate",
     "SolutionModule",
@@ -36,8 +35,6 @@ __all__ = [
     "component_report",
     "set_partitions",
 ]
-
-NeighborlyGraph = Graph
 
 DEFAULT_ELEMENT_CAP = 1_000_000
 

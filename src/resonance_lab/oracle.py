@@ -5,9 +5,12 @@ Scans enumerate one representative per projective class over fields (first
 nonzero coordinate one) and every nonzero tuple over Z/N.  Over a field a
 weight is resonant iff its kernel nullity is at least 2.  Over Z/N it is
 resonant iff Z(lambda) is larger than its parallel locus P(lambda); both
-split over the prime-power factors of N, so the batched kernel decides every
-tuple of each factor ring once, and a weight is reported when some factor
-of it is resonant.  Each reported point's Z(lambda) is then computed once
+split over the prime-power factors p^k of N, so the batched kernel decides
+every tuple of each factor ring once, and a weight is reported when some
+factor of it is resonant.  The kernel eliminates d_lambda alone: P(lambda)
+has a closed form, cut out by a row module of length (n - 1)(k - v) with v
+the least p-adic valuation of lambda's coordinates (proof in
+`_resonant_mask`).  Each reported point's Z(lambda) is then computed once
 on the exact path (Howell generators over Z/N): over a field its dimension
 must equal the kernel nullity, over Z/N it must hold a partner that is not
 parallel to lambda.  Every point's partner eta is then checked by
@@ -34,7 +37,7 @@ from .graphs import Graph
 from .linegeom import Subspace, depth as geom_depth, span
 from .matroid import Matroid
 from .neighborly import CapExceeded, k_gamma, zgamma_rows
-from .osalg import dlambda_matrix, dlambda_rows_index, pair_graph, z_of
+from .osalg import dlambda_matrix, pair_graph, z_of
 from .osalg import is_resonant  # noqa: F401  perfbench/selftest.py reads oracle.is_resonant
 from .rings import (IntegersModN, Matrix, Ring, is_parallel, kernel_field,
                     prime_power_factors, rank_field)
@@ -164,12 +167,16 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
                       groups, time.perf_counter() - t0, budget, jobs)
 
 
+def _dlambda_digit_map(m: Matroid, ring: Ring) -> Tuple[np.ndarray, int, int]:
+    """Digit map of lambda -> d_lambda over the unit basis of R^n."""
+    basis = [tuple(int(j == i) for j in range(m.n)) for i in range(m.n)]
+    return _kernels.build_digit_map(
+        lambda lam: dlambda_matrix(lam, m, ring).rows, basis, ring, m.n)
+
+
 def _scan_resonance_field(m: Matroid, ring: Ring,
                           jobs: int) -> List[Tuple[ScanPoint, tuple]]:
-    basis = [tuple(ring.one if j == i else ring.zero for j in range(m.n))
-             for i in range(m.n)]
-    L, nr, nc = _kernels.build_digit_map(
-        lambda lam: dlambda_matrix(lam, m, ring).rows, basis, ring)
+    L, nr, nc = _dlambda_digit_map(m, ring)
     total = _kernels.projective_total(ring.cardinality, m.n)
     nullities = _scan_all(L, ring, m.n, nr, nc, total, jobs)
     out = []
@@ -213,34 +220,25 @@ def _scan_resonance_modn(m: Matroid,
 _WALK_BLOCK = 1024
 
 
-def _stacked_rows(lam: Sequence, m: Matroid, ring: Ring) -> List[tuple]:
-    """Rows of d_lambda, then one row per pair i < j for the minor
-    lambda_i eta_j - lambda_j eta_i, whose common kernel is the parallel
-    locus P(lambda) of eta."""
-    rows = list(dlambda_matrix(lam, m, ring).rows)
-    for i, j in itertools.combinations(range(m.n), 2):
-        row = [ring.zero] * m.n
-        row[i], row[j] = ring.neg(lam[j]), lam[i]
-        rows.append(tuple(row))
-    return rows
-
-
 def _resonant_mask(m: Matroid, ring: IntegersModN) -> np.ndarray:
     """Resonance of every tuple of (Z/p^k)^n, in `itertools.product` order.
 
-    Each row of d_lambda is a sum of 2x2 minors of [lambda | eta], so
-    P(lambda) lies inside Z(lambda), and lambda is resonant iff
-    |Z(lambda)| > |P(lambda)|, i.e. iff d_lambda alone has a shorter row
-    module than d_lambda stacked on the minors rows.
+    Each row of d_lambda is a sum of 2x2 minors of [lambda | eta], so the
+    parallel locus P(lambda), cut out by the minors rows, lies inside
+    Z(lambda), and lambda is resonant iff |Z(lambda)| > |P(lambda)|, i.e.
+    iff d_lambda has a shorter row module than the minors rows.  That module
+    has length (n - 1)(k - v), where v is the least valuation of lambda's
+    coordinates (v = k for lambda = 0).  Proof: scale lambda by a unit so
+    that lambda_i0 = p^v and write lambda_j = p^v mu_j.  The minors through
+    i0 are the n - 1 rows r_j = p^v (eta_j - mu_j eta_i0), each alone in
+    its column j, so of length k - v each; every other minor is a
+    combination of them, lambda_i eta_j - lambda_j eta_i = mu_i r_j -
+    mu_j r_i.  Over a field (k = 1) this reads rank d_lambda < n - 1.
     """
-    basis = [tuple(int(j == i) for j in range(m.n)) for i in range(m.n)]
-    L, nr, nc = _kernels.build_digit_map(
-        lambda lam: _stacked_rows(lam, m, ring), basis, ring)
-    nd = len(dlambda_rows_index(m))
-    total = ring.n ** m.n
-    z_len = _kernels.scan_lengths(L[:nd * nc], ring, m.n, nd, nc, 0, total)
-    p_len = _kernels.scan_lengths(L, ring, m.n, nr, nc, 0, total)
-    return z_len < p_len
+    k = _kernels.chain_params(ring)[1]
+    L, nr, nc = _dlambda_digit_map(m, ring)
+    z_len = _kernels.scan_lengths(L, ring, m.n, nr, nc, 0, ring.n ** m.n)
+    return z_len < (m.n - 1) * (k - _kernels._min_valuations(ring, m.n))
 
 
 def _group_by_graph(found: Sequence[Tuple[ScanPoint, tuple]], m: Matroid,
@@ -310,7 +308,7 @@ def scan_component(graph: Graph, m: Matroid, ring: Ring,
             f"{ring.cardinality}**{dim_k} K-weights exceed the budget {budget}")
 
     L, nr, nc = _kernels.build_digit_map(
-        lambda lam: _k_rows(lam, graph, m, ring, kb), kb, ring)
+        lambda lam: _k_rows(lam, graph, m, ring, kb), kb, ring, dim_k)
     total = _kernels.projective_total(ring.cardinality, dim_k)
     nullities = _scan_all(L, ring, dim_k, nr, nc, total, jobs)
     strata = tuple((d, int(c)) for d, c in enumerate(np.bincount(nullities))

@@ -8,7 +8,6 @@ eta -> a_lambda ∧ a_eta is assembled per line X with rows indexed by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .graphs import Graph
@@ -17,7 +16,6 @@ from .rings import (IntegersModN, Matrix, Ring, is_parallel, kernel_field,
                     kernel_modn, minors2)
 
 __all__ = [
-    "dlambda_rows_index",
     "dlambda_matrix",
     "wedge_components",
     "wedge_is_zero",
@@ -26,15 +24,8 @@ __all__ = [
     "is_resonant",
     "pair_support",
     "pair_graph",
-    "ResonantPair",
-    "resonant_pair",
     "rank2_partner",
 ]
-
-
-def dlambda_rows_index(m: Matroid) -> List[Tuple[Tuple[int, ...], int]]:
-    """Row labels (X, k) of the d_lambda matrix, fixing the A^2 basis order."""
-    return [(X, k) for X in m.all_lines for k in X[1:]]
 
 
 def dlambda_matrix(lam: Sequence, m: Matroid, ring: Ring) -> Matrix:
@@ -142,22 +133,6 @@ def pair_graph(lam: Sequence, eta: Sequence, m: Matroid, ring: Ring) -> Graph:
     for t in m.trivial_lines:
         assert t in g.edges, f"trivial line {t} missing from pair graph"
     return g
-
-
-@dataclass(frozen=True)
-class ResonantPair:
-    lam: tuple
-    eta: tuple
-    support: Tuple[int, ...]
-    graph: Graph
-
-
-def resonant_pair(lam: Sequence, eta: Sequence, m: Matroid, ring: Ring) -> ResonantPair:
-    """Validated resonant pair with its support and graph."""
-    lam = ring.coerce_vector(lam)
-    eta = ring.coerce_vector(eta)
-    return ResonantPair(lam, eta, pair_support(lam, eta, ring),
-                        pair_graph(lam, eta, m, ring))
 
 
 def rank2_partner(lam: Sequence, m: Matroid, ring: Ring) -> tuple:

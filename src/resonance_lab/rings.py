@@ -578,15 +578,8 @@ class Matrix:
             return len(self.rows[0])
         return self.width if self.width >= 0 else 0
 
-    def matvec(self, v: Sequence) -> tuple:
-        R = self.ring
-        return tuple(R.sum(R.mul(a, x) for a, x in zip(row, v)) for row in self.rows)
-
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.ring, tuple(zip(*self.rows)) if self.rows else ())
 
 
 def rref_field(M: Matrix) -> Tuple[List[list], List[int]]:

@@ -87,6 +87,17 @@ def test_empty_window_and_empty_basis():
         _kernels.build_digit_map(lambda lam: [[0]], [], ring)
 
 
+def test_digit_map_of_a_system_with_no_rows():
+    ring = make_ring("F3")
+    basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    with pytest.raises(ValueError, match="no rows"):
+        _kernels.build_digit_map(lambda lam: [], basis, ring)
+    L, nr, nc = _kernels.build_digit_map(lambda lam: [], basis, ring, 4)
+    assert (nr, nc) == (0, 4) and L.shape == (0, 4)
+    nul = _kernels.scan_nullities(L, ring, 4, nr, nc, 0, 40)
+    assert nul.tolist() == [4] * 40
+
+
 def _reference_nullity(g, m, ring):
     lam = _kernels.decode_candidate(g, ring.cardinality, m.n)
     return m.n - rank_field(dlambda_matrix(lam, m, ring))

@@ -7,7 +7,7 @@ import pytest
 
 from resonance_lab import _kernels, oracle, osalg
 from resonance_lab.graphs import parse_graph
-from resonance_lab.matroid import catalog
+from resonance_lab.matroid import catalog, from_lines
 from resonance_lab.neighborly import CapExceeded, z_gamma
 from resonance_lab.oracle import (fit_forms, regulus_check, scan_component,
                                   scan_resonance)
@@ -160,16 +160,14 @@ def test_scan_modn_raises_when_mask_disagrees_with_z(monkeypatch):
     flagged = (1, 0, 0)
     assert not osalg.is_resonant(flagged, m, Z4)
     index = list(itertools.product(range(4), repeat=3)).index(flagged)
-    nd = len(osalg.dlambda_rows_index(m))
     real = _kernels.scan_lengths
 
-    def bumped(L, ring, dim, nrows, ncols, start, stop):
+    def lowered(L, ring, dim, nrows, ncols, start, stop):
         out = real(L, ring, dim, nrows, ncols, start, stop)
-        if nrows > nd:  # d_lambda stacked on the minors: shrink P(lambda)
-            out[index - start] += 1
+        out[index - start] -= 1  # a shorter d_lambda module: Z(lambda) grows
         return out
 
-    monkeypatch.setattr(_kernels, "scan_lengths", bumped)
+    monkeypatch.setattr(_kernels, "scan_lengths", lowered)
     with pytest.raises(ValueError, match="disagrees"):
         scan_resonance(m, Z4)
 
@@ -266,6 +264,17 @@ def test_scan_component_hessian_f3():
     # spot check the batched dimensions against the exact solver
     for lam, d in cs.points[::7]:
         assert len(z_gamma(lam, g, m, F3)) == d
+
+
+def test_scan_component_with_no_rows_keeps_every_column():
+    # no nontrivial lines and the discrete graph: Z_Gamma has no equations,
+    # so every weight of K = F3^4 has dim Z_Gamma = 4
+    m, g = from_lines(4, [], "free4"), parse_graph("1|2|3|4", 4)
+    cs = scan_component(g, m, F3)
+    assert cs.dim_k == 4
+    assert cs.strata == ((4, 40),)
+    for lam in _kernels.projective_points(3, 4):
+        assert len(z_gamma(lam, g, m, F3)) == 4
 
 
 def test_fit_forms_basics():

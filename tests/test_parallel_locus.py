@@ -1,0 +1,89 @@
+"""The Z/p^k resonance mask against element counts and the stacked system.
+
+Over Z/p^k a weight lambda is resonant iff Z(lambda) is larger than its
+parallel locus P(lambda).  The scan takes |P(lambda)| from a closed form,
+p^(kn - (n-1)(k - v)) with v the least valuation of lambda's coordinates;
+these tests count P(lambda) and Z(lambda) element by element instead, and
+rebuild the system the scan used before the closed form: d_lambda stacked
+on all 2x2 minors rows, eliminated by the same kernel.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from resonance_lab import _kernels, oracle
+from resonance_lab.matroid import catalog
+from resonance_lab.osalg import dlambda_matrix
+from resonance_lab.rings import IntegersModN
+
+
+def _tuples(q, n):
+    return np.array(list(itertools.product(range(q), repeat=n)),
+                    dtype=np.int64)
+
+
+def _parallel_counts(q, n):
+    """|P(lambda)| for every lambda: the eta whose 2x2 minors with lambda
+    all vanish mod q, counted over all pairs (lambda, eta)."""
+    T = _tuples(q, n)
+    ok = np.ones((len(T), len(T)), dtype=bool)
+    for i, j in itertools.combinations(range(n), 2):
+        minor = np.outer(T[:, i], T[:, j]) - np.outer(T[:, j], T[:, i])
+        ok &= minor % q == 0
+    return ok.sum(1)
+
+
+def _z_counts(m, ring):
+    """|Z(lambda)| for every lambda: the eta with d_lambda eta = 0 mod q."""
+    T = _tuples(ring.n, m.n)
+    out = []
+    for lam in T:
+        D = np.array(dlambda_matrix(tuple(map(int, lam)), m, ring).rows,
+                     dtype=np.int64)
+        out.append(int(((T @ D.T) % ring.n == 0).all(1).sum()))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("name,q", [
+    ("pencil-3", 4), ("pencil-3", 8), ("pencil-3", 9), ("pencil-4", 4)])
+def test_parallel_locus_has_the_closed_form_size(name, q):
+    m, ring = catalog(name), IntegersModN(q)
+    p, k = _kernels.chain_params(ring)
+    n = m.n
+    v = _kernels._min_valuations(ring, n).astype(np.int64)
+    assert v.size == q ** n and v[0] == k
+    P = _parallel_counts(q, n)
+    assert np.array_equal(P, p ** (k * n - (n - 1) * (k - v)))
+    Z = _z_counts(m, ring)
+    assert (Z >= P).all()  # P(lambda) lies inside Z(lambda)
+    mask = oracle._resonant_mask(m, ring)
+    assert np.array_equal(mask, Z > P)
+    assert mask.any() and not mask.all()
+
+
+def _stacked_rows(lam, m, ring):
+    """d_lambda, then one row per pair i < j for the minor
+    lambda_i eta_j - lambda_j eta_i."""
+    rows = list(dlambda_matrix(lam, m, ring).rows)
+    for i, j in itertools.combinations(range(m.n), 2):
+        row = [0] * m.n
+        row[i], row[j] = ring.neg(lam[j]), lam[i]
+        rows.append(tuple(row))
+    return rows
+
+
+@pytest.mark.parametrize("name", ["braid-K4", "nonfano"])
+def test_mask_matches_the_stacked_minors_system(name):
+    m, ring = catalog(name), IntegersModN(4)
+    n, total = m.n, 4 ** m.n
+    basis = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    L, nr, nc = _kernels.build_digit_map(
+        lambda lam: _stacked_rows(lam, m, ring), basis, ring, n)
+    nd = nr - n * (n - 1) // 2
+    z_len = _kernels.scan_lengths(L[:nd * nc], ring, n, nd, nc, 0, total)
+    p_len = _kernels.scan_lengths(L, ring, n, nr, nc, 0, total)
+    v = _kernels._min_valuations(ring, n)
+    assert np.array_equal(p_len, (n - 1) * (2 - v.astype(np.int64)))
+    assert np.array_equal(oracle._resonant_mask(m, ring), z_len < p_len)
