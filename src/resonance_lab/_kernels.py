@@ -41,7 +41,7 @@ remainder theorem; the caller scans each factor and joins the answers.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -122,16 +122,15 @@ def projective_points(q: int, dim: int) -> Iterator[tuple]:
 
 def build_digit_map(system_rows: Callable[[tuple], Sequence[Sequence[int]]],
                     basis: Sequence[tuple], ring: Ring,
-                    ncols: Optional[int] = None
-                    ) -> Tuple[np.ndarray, int, int]:
+                    ncols: int) -> Tuple[np.ndarray, int, int]:
     """Digit matrix of the candidate -> system-matrix map.
 
     Column (i, t) holds the base-p digits of the flattened matrix the exact
     row builder produces for the basis vector i scaled by x^t, which pins the
     kernels to the reference implementation entry for entry.  Z/N counts as
     modulus N with extension degree 1: one column per basis vector, holding
-    the entries mod N.  `ncols` is the width of the system matrix; left out,
-    it is read from the first row, so a system with no rows needs it.
+    the entries mod N.  `ncols` is the width of the system matrix, which
+    the caller knows even when the system has no rows.
     """
     if isinstance(ring, IntegersModN):
         p, kext = ring.n, 1
@@ -147,10 +146,6 @@ def build_digit_map(system_rows: Callable[[tuple], Sequence[Sequence[int]]],
             rows = system_rows(lam)
             if nrows < 0:
                 nrows = len(rows)
-                if ncols is None:
-                    if not rows:
-                        raise ValueError("a system with no rows needs ncols")
-                    ncols = len(rows[0])
             col = np.zeros(nrows * ncols * kext, dtype=np.int64)
             pos = 0
             for r in rows:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from resonance_lab import _kernels
+from resonance_lab import _kernels, oracle
 from resonance_lab.matroid import catalog
 from resonance_lab.osalg import dlambda_matrix, z_of
 from resonance_lab.rings import make_ring, prime_power_factors, rank_field
@@ -40,17 +40,10 @@ def test_decode_candidate_enumerates_projective_space():
                           for g in range(_kernels.projective_total(q, dim))]
 
 
-def _digit_map(m, ring):
-    basis = [tuple(ring.one if j == i else ring.zero for j in range(m.n))
-             for i in range(m.n)]
-    return _kernels.build_digit_map(
-        lambda lam: dlambda_matrix(lam, m, ring).rows, basis, ring)
-
-
 def test_scan_matches_exact_kernel_f2():
     m = catalog("nonfano")
     ring = make_ring("F2")
-    L, nr, nc = _digit_map(m, ring)
+    L, nr, nc = oracle._dlambda_digit_map(m, ring)
     total = _kernels.projective_total(2, m.n)
     nul = _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, total)
     for g in range(total):
@@ -62,7 +55,7 @@ def test_scan_spot_check_extension_field():
     # a handful of F4 candidates against the exact kernel dimension
     m = catalog("nonfano")
     ring = make_ring("F4")
-    L, nr, nc = _digit_map(m, ring)
+    L, nr, nc = oracle._dlambda_digit_map(m, ring)
     total = _kernels.projective_total(4, m.n)
     nul = _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, total)
     rng = np.random.default_rng(0)
@@ -80,18 +73,16 @@ def test_scan_spot_check_extension_field():
 def test_empty_window_and_empty_basis():
     m = catalog("nonfano")
     ring = make_ring("F2")
-    L, nr, nc = _digit_map(m, ring)
+    L, nr, nc = oracle._dlambda_digit_map(m, ring)
     out = _kernels.scan_nullities(L, ring, m.n, nr, nc, 5, 5)
     assert out.size == 0
     with pytest.raises(ValueError):
-        _kernels.build_digit_map(lambda lam: [[0]], [], ring)
+        _kernels.build_digit_map(lambda lam: [[0]], [], ring, 1)
 
 
 def test_digit_map_of_a_system_with_no_rows():
     ring = make_ring("F3")
     basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    with pytest.raises(ValueError, match="no rows"):
-        _kernels.build_digit_map(lambda lam: [], basis, ring)
     L, nr, nc = _kernels.build_digit_map(lambda lam: [], basis, ring, 4)
     assert (nr, nc) == (0, 4) and L.shape == (0, 4)
     nul = _kernels.scan_nullities(L, ring, 4, nr, nc, 0, 40)
@@ -104,7 +95,7 @@ def _reference_nullity(g, m, ring):
 
 
 def _full_scan(m, ring):
-    L, nr, nc = _digit_map(m, ring)
+    L, nr, nc = oracle._dlambda_digit_map(m, ring)
     total = _kernels.projective_total(ring.cardinality, m.n)
     return _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, total)
 
@@ -133,7 +124,7 @@ def test_scan_matches_rank_field_on_resonant_and_sampled(name, spec):
 
 def test_windows_glue_across_block_boundaries():
     m, ring = catalog("deletedB3"), make_ring("F4")
-    L, nr, nc = _digit_map(m, ring)
+    L, nr, nc = oracle._dlambda_digit_map(m, ring)
     total = _kernels.projective_total(4, m.n)
     full = _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, total)
     windows = [(0, 1), (1, 4097), (4097, total)]
@@ -145,7 +136,8 @@ def test_windows_glue_across_block_boundaries():
 def test_zero_digit_map_has_full_nullity():
     ring = make_ring("F4")
     basis = [tuple(int(i == j) for j in range(3)) for i in range(3)]
-    L, nr, nc = _kernels.build_digit_map(lambda lam: [[0] * 5] * 4, basis, ring)
+    L, nr, nc = _kernels.build_digit_map(lambda lam: [[0] * 5] * 4, basis,
+                                         ring, 5)
     assert (nr, nc) == (4, 5) and not L.any()
     nul = _kernels.scan_nullities(L, ring, 3, nr, nc, 0, 21)
     assert nul.tolist() == [5] * 21
@@ -210,7 +202,7 @@ def test_chain_params():
 
 def test_chain_windows_glue_across_block_boundaries():
     m, ring = catalog("braid-K4"), make_ring("Z4")
-    L, nr, nc = _digit_map(m, ring)
+    L, nr, nc = oracle._dlambda_digit_map(m, ring)
     total = 4 ** m.n
     full = _kernels.scan_lengths(L, ring, m.n, nr, nc, 0, total)
     edge = _kernels._CHAIN_BLOCK + 1

@@ -71,7 +71,7 @@ def _component_map(text, name, spec):
 def _map_of(g, m, ring):
     kb = k_gamma(g, m, ring)
     L, nr, nc = _kernels.build_digit_map(
-        lambda lam: _k_rows(lam, g, m, ring, kb), kb, ring)
+        lambda lam: _k_rows(lam, g, m, ring, kb), kb, ring, len(kb))
     return g, m, ring, kb, L, nr, nc
 
 
