@@ -22,18 +22,22 @@ the system matrix, with the same rank.  The signature keeps the nominal
 everywhere, with no elimination at all.
 
 Fields and Z/p^k are both finite chain rings: every nonzero element is a
-unit times p^v.  Over a field (`scan_nullities`, candidates indexed by
-projective representative: first nonzero coordinate one, ordered by the
-position of that leading one and then lexicographically in the remaining
-coordinates) a loop over the columns pivots on the first unused row with a
-nonzero entry.  Over Z/p^k (`scan_lengths`, every tuple of (Z/p^k)^dim in
-`itertools.product` order) column-by-column pivots are wrong for k > 1,
-since over Z4 the row (2, 1) spans 4 elements, not 2.  Each step there
-pivots on an entry of least valuation v, scales its row to p^v and clears
-its column with the exact quotients b // p^v.  The row module has length
-sum (k - v) over the pivots, so the kernel has p^(k*C - length) elements.
-`_min_valuations` gives the least valuation of each tuple's coordinates in
-the same order, which fixes the length of the parallel locus's row module.
+unit times p^v, and a field is the case k = 1 with maximal ideal 0.  One
+elimination, `_block_length`, serves both: it walks the columns once,
+pivots on an entry of least valuation v in each, clears the column in the
+other rows with the exact quotients b // p^v and leaves p^(k - v) times
+the scaled pivot row in its place (Howell's saturation row, zero over a
+field).  The row module has length sum (k - v) over the columns, so the
+kernel has p^(k*C - length) elements; over a field the length is the rank.
+`scan_nullities` indexes candidates by projective representative (first
+nonzero coordinate one, ordered by the position of that leading one and
+then lexicographically in the remaining coordinates) and returns
+C - length.  `scan_lengths` walks every tuple of (Z/p^k)^dim in
+`itertools.product` order and returns the length; a plain pivot on the
+first nonzero entry would be wrong there, since over Z4 the row (2, 1)
+spans 4 elements, not 2.  `_min_valuations` gives the least valuation of
+each tuple's coordinates in the same order, which fixes the length of the
+parallel locus's row module.
 Z/N for composite N splits into its prime-power factors by the Chinese
 remainder theorem; the caller scans each factor and joins the answers.
 """
@@ -182,7 +186,7 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
         return np.full(stop - start, ncols, dtype=np.uint8)
     L = rows.reshape(nrows * ncols * kext, width)
     offs = lead_offsets(q, dim)
-    add, mul, negmul, inv = _tables_for(ring)
+    tables = _chain_tables_for(ring)
     pw = p ** np.arange(kext, dtype=np.int64)
     # float64 matmuls run in BLAS and stay exact: a digit-map entry is below
     # p * p * dim * kext, far from 2**53
@@ -204,8 +208,8 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
         digits = ((coords[:, :, None] // pw) % p).reshape(B, dim * kext)
         mdig = np.fmod(digits.astype(np.float64) @ Lt, p)
         mats = (mdig.reshape(B, nrows * ncols, kext) @ pwf).reshape(
-            B, nrows, ncols).astype(add.dtype)
-        out[lo - start:hi - start] = ncols - _block_rank(mats, add, mul, negmul, inv)
+            B, nrows, ncols).astype(tables[0].dtype)
+        out[lo - start:hi - start] = ncols - _block_length(mats, *tables)
     return out
 
 
@@ -214,7 +218,7 @@ def scan_lengths(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
     """Length of the row module of the system matrix over Z/p^k for the
     tuples start..stop-1 of (Z/p^k)^dim in `itertools.product` order; the
     kernel has p^(k*ncols - length) elements."""
-    k = chain_params(ring)[1]
+    chain_params(ring)  # raises unless ring is Z/p^k
     q = ring.n
     tables = _chain_tables_for(ring)
     Lt = L.T.astype(np.int64)
@@ -228,7 +232,7 @@ def scan_lengths(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
         # whose first call would allocate its buffers
         mats = ((coords @ Lt) % q).reshape(
             hi - lo, nrows, ncols).astype(tables[0].dtype)
-        out[lo - start:hi - start] = _block_length(mats, *tables, k)
+        out[lo - start:hi - start] = _block_length(mats, *tables)
     return out
 
 
@@ -244,21 +248,12 @@ def _min_valuations(ring: Ring, dim: int) -> np.ndarray:
 
 
 _BLOCK = 4096
-# each step of the Z/p^k elimination reads and rewrites the whole (B, R, C)
-# block through int32 table indices, so small blocks keep its temporaries
-# within a few hundred kB; on deletedB3's 19x8 d_lambda map over Z4, blocks
-# of 256 and 1024 scan equally fast and 4096 is slower
+# each column step of the elimination rewrites every column right of it
+# through intp table indices; blocks of 256 keep those Z/p^k temporaries
+# within a few hundred kB, where one block of 4096 raised the modn-scan
+# benchmark's peak RSS from 43.4 to 47.0 MB
 _CHAIN_BLOCK = 256
 _TABLE_CACHE: dict = {}
-
-
-def _tables_for(ring: Ring):
-    """(add, mul, negmul, inv) lookup tables, with negmul[a, b] = -(a * b)."""
-    key = ring.spec
-    if key not in _TABLE_CACHE:
-        add, mul, neg, inv = ring.tables()
-        _TABLE_CACHE[key] = (add, mul, neg[mul], inv)
-    return _TABLE_CACHE[key]
 
 
 def _row_basis(A: np.ndarray, p: int) -> np.ndarray:
@@ -288,83 +283,79 @@ def _row_basis(A: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _block_rank(M, add, mul, negmul, inv) -> np.ndarray:
-    """Ranks of the B matrices of M (B, R, C), eliminated together in place.
-
-    Column by column, each matrix takes its first unused row with a nonzero
-    entry as pivot and clears that column in its other unused rows; used
-    rows are never touched again, so no row swaps are needed.
-    """
-    B, R, C = M.shape
-    q = add.shape[0]
-    addf, negmulf = add.ravel(), negmul.ravel()
-    every = np.arange(B)
-    used = np.zeros((B, R), dtype=bool)
-    rank = np.zeros(B, dtype=np.int64)
-    for c in range(C):
-        col = M[:, :, c]
-        cand = (col != 0) & ~used
-        has = cand.any(1)
-        piv = cand.argmax(1)
-        used[every, piv] |= has
-        rank += has
-        # pivot row scaled to a leading one; x - f*y on every unused row
-        y = mul[inv[col[every, piv]][:, None], M[every, piv, c + 1:]]
-        f = np.where(used, 0, col).astype(np.intp)
-        fy = negmulf[f[:, :, None] * q + y[:, None, :]]
-        M[:, :, c + 1:] = addf[M[:, :, c + 1:].astype(np.intp) * q + fy]
-    return rank
-
-
 def _chain_tables_for(ring: Ring):
-    """(add, mul, negmul, val, unit, shift) for Z/p^k: val[a] = v_p(a) with
-    val[0] = k; unit[a] is a unit with unit[a] * a = p^val[a] (unit[0] = 0);
-    shift[v, a] = a // p^v."""
-    key = ("chain", ring.spec)
-    if key not in _TABLE_CACHE:
-        p, k = chain_params(ring)
-        q = ring.n
-        add, mul, neg, _ = ring.tables()
-        val = [k] + [next(v for v in range(k) if a % p ** (v + 1))
-                     for a in range(1, q)]
-        unit = [0] + [next(w for w in range(q) if w % p
-                           and w * a % q == p ** val[a]) for a in range(1, q)]
-        shift = [[a // p ** v for a in range(q)] for v in range(k + 1)]
-        _TABLE_CACHE[key] = (add, mul, neg[mul],
-                             np.array(val, dtype=np.uint8),
-                             np.array(unit, dtype=mul.dtype),
-                             np.array(shift, dtype=mul.dtype))
-    return _TABLE_CACHE[key]
+    """(add, mul, negmul, val, unit, shift, lead, k) for a finite field or
+    Z/p^k, with negmul[a, b] = -(a * b).
+
+    val[a] is the valuation of a (k for a = 0), unit[a] a unit with
+    unit[a] * a = p^val[a] (unit[0] = 0), shift[v, a] = a // p^v and
+    lead[a] = unit[a]^-1 - p^(k - val[a]) (lead[0] = 0).  A field is the
+    case k = 1 with maximal ideal 0: val is 1 on 0 and 0 elsewhere,
+    unit = inv, shift = [identity, zeros] and lead is the identity.
+    """
+    if ring.spec not in _TABLE_CACHE:
+        add, mul, neg, inv = ring.tables()
+        elems = np.arange(add.shape[0])
+        if isinstance(ring, IntegersModN):
+            p, k = chain_params(ring)
+            val = sum((elems % p ** v == 0).astype(np.uint8)
+                      for v in range(1, k + 1))
+            shift = elems // p ** np.arange(k + 1)[:, None]
+            u = shift[val, elems]  # a = u * p^val[a] with u a unit
+            unit = inv[u]
+            lead = np.where(val < k, (u - p ** (k - val)) % ring.n, 0)
+        else:
+            k = 1
+            val, unit, lead = elems == 0, inv, elems
+            shift = [elems, 0 * elems]
+        _TABLE_CACHE[ring.spec] = (
+            add, mul, neg[mul], np.asarray(val, dtype=np.uint8),
+            np.asarray(unit, dtype=mul.dtype),
+            np.asarray(shift, dtype=mul.dtype),
+            np.asarray(lead, dtype=mul.dtype), k)
+    return _TABLE_CACHE[ring.spec]
 
 
-def _block_length(M, add, mul, negmul, val, unit, shift, k) -> np.ndarray:
-    """Lengths of the row modules of the B matrices of M (B, R, C) over
-    Z/p^k, eliminated together in place.
+def _block_length(M, add, mul, negmul, val, unit, shift, lead,
+                  k) -> np.ndarray:
+    """Lengths of the row modules of the B matrices of M (B, R, C) over a
+    finite field or Z/p^k, eliminated together in place; over a field the
+    length is the rank.
 
-    Each step takes, per matrix, an entry a = M[r, c] of least valuation v
-    in the whole matrix and y = row r scaled so that a becomes p^v.  Every
-    row b then loses (b[c] // p^v) * y; p^v divides every entry because v
-    is minimal.  This zeroes column c and row r itself (row r is a unit
-    multiple of y and its entries are divisible by p^v), and splits off
-    y, of length k - v, as a direct summand.  No column operations are
-    needed, and the length is the sum of k - v over the steps.
+    Column by column, each matrix pivots on a row r whose entry a = M[r, c]
+    has the least valuation v in the column; y = unit[a] * row r has
+    y[c] = p^v.  Every other row b loses shift[v, b[c]] * y, which zeroes
+    b[c] since p^v divides it.  Row r loses lead[a] * y; as row r is
+    unit[a]^-1 * y, this leaves p^(k - v) * y (Howell's saturation row),
+    zero in column c, and zero altogether over a field, where k = 1 and
+    p = 0 in F_q.  The step is exact: the module is spanned by y and the
+    other new rows, so each element is s + mu * y with s zero in column c,
+    and it vanishes there iff p^(k - v) divides mu.  The new rows thus span
+    the elements of the module that vanish in column c, the column's image
+    is the ideal (p^v) of length k - v, and the length is sum (k - v) over
+    the columns.  A column without a pivot has v = k and y = 0 and changes
+    nothing.  Over a field the multipliers are the column itself: shift[0]
+    and lead are the identity, and a column without a pivot is zero.
     """
     B, R, C = M.shape
     q = add.shape[0]
     addf, negmulf = add.ravel(), negmul.ravel()
-    idx = np.int32 if q * q < 2 ** 31 else np.intp  # table indices a * q + b
     every = np.arange(B)
     length = np.zeros(B, dtype=np.int64)
-    for _ in range(min(R, C)):
-        V = val[M]
-        r, c = np.divmod(V.reshape(B, R * C).argmin(1), C)
-        v = V[every, r, c]
-        if (v == k).all():
-            break
+    for c in range(C):
+        col = M[:, :, c]
+        V = val[col]
+        r = V.argmin(1)
+        v = V[every, r]
         length += k - v
-        # a zero matrix has v = k, and shift[k] is all zero
-        y = mul[unit[M[every, r, c]][:, None], M[every, r]]
-        f = shift[v[:, None], M[every, :, c]].astype(idx)
-        M[...] = addf[M.astype(idx) * q
-                      + negmulf[f[:, :, None] * q + y[:, None, :]]]
+        a = col[every, r]
+        y = mul[unit[a][:, None], M[every, r, c + 1:]]
+        if k == 1:
+            f = col.astype(np.intp)
+        else:
+            f = shift[v[:, None], col].astype(np.intp)
+            f[every, r] = lead[a]
+        # fy first, so that only one intp temporary of the block is alive
+        fy = negmulf[f[:, :, None] * q + y[:, None, :]]
+        M[:, :, c + 1:] = addf[M[:, :, c + 1:].astype(np.intp) * q + fy]
     return length

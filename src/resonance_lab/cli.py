@@ -17,10 +17,9 @@ from . import osalg
 from .graphs import Graph, is_neighborly, parse_graph
 from .linegeom import directrices, span
 from .neighborly import (CapExceeded, decomposition_check, enumerate_neighborly,
-                         k_gamma, z_gamma)
+                         z_gamma)
 from .oracle import fit_forms, scan_component, scan_resonance
-from .rings import IntegersModN, Matrix, Rationals, howell_form, kernel_field, \
-    kernel_modn, make_ring, rank_field
+from .rings import Rationals, kernel_field, kernel_modn, make_ring, rank_field
 from .schubert import SchubertClass, carrier_degree, pieri, product, special
 
 _VALUE_CHARS = {str(d): d for d in range(10)}

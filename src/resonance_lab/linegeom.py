@@ -11,7 +11,6 @@ dimensional.  Rings with zero divisors are refused throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .graphs import Graph

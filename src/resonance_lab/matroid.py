@@ -9,7 +9,7 @@ beyond 9 print as the greek digits α, β, γ (values 10, 11, 12).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from itertools import combinations

@@ -161,10 +161,13 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
     else:
         raise ValueError(f"unsupported ring {ring.spec}")
     groups = _group_by_graph(found, m, ring)
-    universe = (_kernels.projective_total(ring.cardinality, m.n)
-                if ring.is_field else ring.cardinality ** m.n - 1)
+    if ring.is_field:
+        universe = _kernels.projective_total(ring.cardinality, m.n)
+        workers = len(_split_ranges(universe, jobs))
+    else:  # the Z/N kernel scans each factor ring in one call
+        universe, workers = ring.cardinality ** m.n - 1, 1
     return ScanReport(m.name, ring.spec, universe, tuple(p for p, _ in found),
-                      groups, time.perf_counter() - t0, budget, jobs)
+                      groups, time.perf_counter() - t0, budget, workers)
 
 
 def _dlambda_digit_map(m: Matroid, ring: Ring) -> Tuple[np.ndarray, int, int]:

@@ -13,7 +13,7 @@ from typing import List, Sequence, Tuple
 from .graphs import Graph
 from .matroid import Matroid
 from .rings import (IntegersModN, Matrix, Ring, is_parallel, kernel_field,
-                    kernel_modn, minors2)
+                    kernel_modn)
 
 __all__ = [
     "dlambda_matrix",

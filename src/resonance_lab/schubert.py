@@ -11,7 +11,7 @@ flagged with the transversality assumptions it cannot certify.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 __all__ = [
     "Shape",

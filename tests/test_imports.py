@@ -1,0 +1,41 @@
+"""Every name a module of the package imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "resonance_lab"
+
+
+def _unused_imports(source: str) -> list:
+    """(line, name) of each imported name that the module never reads;
+    import lines marked `# noqa` (deliberate re-exports) are exempt."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "# noqa" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                if alias.name == "annotations":  # from __future__
+                    continue
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_unused_import_scan_sees_names_and_noqa():
+    src = ("from itertools import combinations, product\n"
+           "import os.path\n"
+           "from .osalg import is_resonant  # noqa: F401  re-export\n"
+           "product(os.path.sep)\n")
+    assert _unused_imports(src) == [(1, "combinations")]
+
+
+def test_package_modules_have_no_unused_imports():
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    assert modules
+    unused = {p.name: _unused_imports(p.read_text()) for p in modules}
+    assert {k: v for k, v in unused.items() if v} == {}

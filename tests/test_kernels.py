@@ -6,7 +6,8 @@ import pytest
 from resonance_lab import _kernels, oracle
 from resonance_lab.matroid import catalog
 from resonance_lab.osalg import dlambda_matrix, z_of
-from resonance_lab.rings import make_ring, prime_power_factors, rank_field
+from resonance_lab.rings import (Matrix, make_ring, prime_power_factors,
+                                 rank_field)
 
 
 def test_backend_name_selection():
@@ -156,8 +157,7 @@ def _module_size(rows, q, ncols):
 
 def _block_length(mats, ring):
     M = np.array(mats, dtype=np.uint8)
-    k = _kernels.chain_params(ring)[1]
-    return _kernels._block_length(M, *_kernels._chain_tables_for(ring), k)
+    return _kernels._block_length(M, *_kernels._chain_tables_for(ring))
 
 
 def test_block_length_of_a_row_with_a_nonunit_lead():
@@ -167,13 +167,20 @@ def test_block_length_of_a_row_with_a_nonunit_lead():
     assert _module_size([(2, 1)], 4, 2) == 4
     assert _block_length([[(2, 1)], [(2, 0)], [(0, 0)], [(2, 2)]],
                          ring).tolist() == [2, 1, 0, 1]
+    # a leading column without a pivot must leave its rows for later columns
+    assert _block_length([[(0, 2)]], ring).tolist() == [1]
+    assert _block_length([[(0, 0), (0, 2)]], ring).tolist() == [1]
 
 
-@pytest.mark.parametrize("spec", ["Z2", "Z3", "Z4", "Z8", "Z9"])
+@pytest.mark.parametrize("spec", ["Z2", "Z3", "Z4", "Z8", "Z9",
+                                  "F2", "F3", "F4", "F9"])
 def test_block_length_matches_brute_force_module_size(spec):
     ring = make_ring(spec)
-    p, k = _kernels.chain_params(ring)
-    q = ring.n
+    if ring.is_field:
+        p, k, q = _kernels.field_params(ring)
+    else:
+        p, k = _kernels.chain_params(ring)
+        q = ring.n
     rng = np.random.default_rng(k * 100 + p)
     checked = 0
     for _ in range(8):
@@ -184,8 +191,15 @@ def test_block_length_matches_brute_force_module_size(spec):
         mats = np.where(rng.random(mats.shape) < 0.2, 0, mats)
         got = _block_length(mats, ring)
         for b in range(5):
-            size = _module_size(mats[b].tolist(), q, C)
-            assert p ** int(got[b]) == size, (mats[b].tolist(), int(got[b]))
+            rows = mats[b].tolist()
+            if ring.is_field:
+                # F4 and F9 entries are encodings, not integers mod q, so
+                # `_module_size` does not apply; the length is the rank
+                rank = rank_field(Matrix.from_rows(ring, rows))
+                assert int(got[b]) == rank, (rows, int(got[b]))
+            else:
+                size = _module_size(rows, q, C)
+                assert p ** int(got[b]) == size, (rows, int(got[b]))
             checked += 1
     assert checked == 40
 

@@ -98,6 +98,15 @@ def test_scan_jobs_deterministic():
     assert a == b
 
 
+def test_scan_reports_the_worker_count_that_ran():
+    m = catalog("pencil-3")
+    # 7 projective points over F2 split into at most 7 ranges
+    assert scan_resonance(m, make_ring("F2"), jobs=10).jobs == 7
+    assert scan_resonance(m, make_ring("F2"), jobs=2).jobs == 2
+    # the Z/N kernel never splits
+    assert scan_resonance(m, make_ring("Z4"), jobs=3).jobs == 1
+
+
 def test_scan_z4_pencil_matches_rank_two_condition():
     m = catalog("pencil-3")
     Z4 = make_ring("Z4")

@@ -132,13 +132,13 @@ def test_block_rank_sees_only_the_basis_rows(monkeypatch):
     # the compression is invisible to every nullity, so record what the
     # elimination receives
     shapes = []
-    block_rank = _kernels._block_rank
+    block_length = _kernels._block_length
 
     def recording(M, *tables):
         shapes.append(M.shape)
-        return block_rank(M, *tables)
+        return block_length(M, *tables)
 
-    monkeypatch.setattr(_kernels, "_block_rank", recording)
+    monkeypatch.setattr(_kernels, "_block_length", recording)
     _, _, ring, kb, L, nr, nc = _component_map(HESSIAN_GRAPH, "hessian", "F9")
     _full_scan(kb, ring, L, nr, nc)
     assert shapes and {s[1:] for s in shapes} == {(9, 6)}
