@@ -298,7 +298,8 @@ def _chain_tables_for(ring: Ring):
         elems = np.arange(add.shape[0])
         if isinstance(ring, IntegersModN):
             p, k = chain_params(ring)
-            val = sum((elems % p ** v == 0).astype(np.uint8)
+            # int64, not uint8: p^(k - val) below exceeds 255 once q > 256
+            val = sum((elems % p ** v == 0).astype(np.int64)
                       for v in range(1, k + 1))
             shift = elems // p ** np.arange(k + 1)[:, None]
             u = shift[val, elems]  # a = u * p^val[a] with u a unit
@@ -350,7 +351,7 @@ def _block_length(M, add, mul, negmul, val, unit, shift, lead,
         length += k - v
         a = col[every, r]
         y = mul[unit[a][:, None], M[every, r, c + 1:]]
-        if k == 1:
+        if k == 1:  # the shift gather slowed the field scans by a fifth
             f = col.astype(np.intp)
         else:
             f = shift[v[:, None], col].astype(np.intp)

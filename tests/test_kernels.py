@@ -6,8 +6,8 @@ import pytest
 from resonance_lab import _kernels, oracle
 from resonance_lab.matroid import catalog
 from resonance_lab.osalg import dlambda_matrix, z_of
-from resonance_lab.rings import (Matrix, make_ring, prime_power_factors,
-                                 rank_field)
+from resonance_lab.rings import (Matrix, howell_form, make_ring,
+                                 prime_power_factors, rank_field)
 
 
 def test_backend_name_selection():
@@ -156,8 +156,9 @@ def _module_size(rows, q, ncols):
 
 
 def _block_length(mats, ring):
-    M = np.array(mats, dtype=np.uint8)
-    return _kernels._block_length(M, *_kernels._chain_tables_for(ring))
+    tables = _kernels._chain_tables_for(ring)
+    M = np.array(mats, dtype=tables[0].dtype)
+    return _kernels._block_length(M, *tables)
 
 
 def test_block_length_of_a_row_with_a_nonunit_lead():
@@ -202,6 +203,35 @@ def test_block_length_matches_brute_force_module_size(spec):
                 assert p ** int(got[b]) == size, (rows, int(got[b]))
             checked += 1
     assert checked == 40
+
+
+@pytest.mark.parametrize("spec", ["Z289", "Z343", "Z512", "Z625", "Z729"])
+def test_block_length_over_rings_wider_than_a_byte(spec):
+    # p^(k - v) exceeds 255 here, so tables computed in uint8 would wrap
+    ring = make_ring(spec)
+    p, k = _kernels.chain_params(ring)
+    q = ring.n
+    assert _block_length([[(1, 1)], [(p, 0)], [(0, p ** (k - 1))]],
+                         ring).tolist() == [k, k - 1, 1]
+    rng = np.random.default_rng(q)
+    mats = rng.integers(0, q, size=(30, 3, 4))
+    mats = np.where(rng.random(mats.shape) < 0.4,
+                    (mats * p ** rng.integers(1, k + 1, mats.shape)) % q, mats)
+    got = _block_length(mats, ring)
+    for b in range(len(mats)):
+        # each element of a Howell form's span is a unique sum of c * row
+        # with c taken mod p^(k - v), v the valuation of the row's pivot
+        form = howell_form(mats[b].tolist(), q)
+        want = sum(k - _valuation(next(x for x in row if x), p)
+                   for row in form)
+        assert int(got[b]) == want, mats[b].tolist()
+
+
+def _valuation(a, p):
+    v = 0
+    while a % p == 0:
+        a, v = a // p, v + 1
+    return v
 
 
 def test_chain_params():
