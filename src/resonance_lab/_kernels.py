@@ -5,7 +5,10 @@ linear over the prime field in the base-p digits of the candidate's
 coordinates (over Z/p^k: linear over Z/p^k in the coordinates themselves,
 read as one base-p^k digit each).  Each scan therefore precomputes one
 integer digit matrix L by evaluating the exact reference row builder on
-unit digit inputs.  A block of candidates then costs one matmul (exact at
+unit digit inputs.  The entries still come from that builder; projecting
+them onto a component's K (`ring_product`, through the add/mul tables) and
+splitting them into digits are table and numpy products, with no Python
+arithmetic per entry.  A block of candidates then costs one matmul (exact at
 these sizes) and one elimination of the whole (B, R, C) block at once,
 whose steps are numpy operations on all B matrices with ring arithmetic
 through add/mul lookup tables plus negmul = -(a*b).
@@ -45,7 +48,7 @@ remainder theorem; the caller scans each factor and joins the answers.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, Sequence, Tuple
 
 import numpy as np
 
@@ -58,8 +61,11 @@ __all__ = [
     "projective_total",
     "lead_offsets",
     "decode_candidate",
+    "decode_candidates",
     "projective_points",
     "build_digit_map",
+    "ring_product",
+    "projective_canon",
     "scan_nullities",
     "chain_params",
     "scan_lengths",
@@ -131,7 +137,9 @@ def build_digit_map(system_rows: Callable[[tuple], Sequence[Sequence[int]]],
 
     Column (i, t) holds the base-p digits of the flattened matrix the exact
     row builder produces for the basis vector i scaled by x^t, which pins the
-    kernels to the reference implementation entry for entry.  Z/N counts as
+    kernels to the reference implementation entry for entry.  The builder's
+    rows become one int64 array per column, and one vectorized
+    `// p**t % p` splits every entry into its digits.  Z/N counts as
     modulus N with extension degree 1: one column per basis vector, holding
     the entries mod N.  `ncols` is the width of the system matrix, which
     the caller knows even when the system has no rows.
@@ -140,30 +148,60 @@ def build_digit_map(system_rows: Callable[[tuple], Sequence[Sequence[int]]],
         p, kext = ring.n, 1
     else:
         p, kext, _ = field_params(ring)
-    dim = len(basis)
-    cols: List[np.ndarray] = []
-    nrows = -1
-    for i in range(dim):
+    if not basis:
+        raise ValueError("empty basis: nothing to scan")
+    cols = []
+    for b in basis:
         for t in range(kext):
             scalar = p ** t  # the encoding of x^t
-            lam = tuple(ring.mul(scalar, x) for x in basis[i])
-            rows = system_rows(lam)
-            if nrows < 0:
-                nrows = len(rows)
-            col = np.zeros(nrows * ncols * kext, dtype=np.int64)
-            pos = 0
-            for r in rows:
-                for e in r:
-                    v = int(e)
-                    for _ in range(kext):
-                        col[pos] = v % p
-                        v //= p
-                        pos += 1
-            cols.append(col)
-    if not cols:
-        raise ValueError("empty basis: nothing to scan")
-    L = np.stack(cols, axis=1)
-    return L, nrows, ncols
+            rows = system_rows(tuple(ring.mul(scalar, x) for x in b))
+            cols.append(np.asarray(rows, dtype=np.int64).reshape(
+                len(rows), ncols))
+    M = np.stack(cols, axis=-1)  # (nrows, ncols, width)
+    pw = p ** np.arange(kext, dtype=np.int64)
+    L = M[:, :, None, :] // pw[:, None] % p  # (nrows, ncols, kext, width)
+    return L.reshape(-1, len(cols)), M.shape[0], ncols
+
+
+def ring_product(A: np.ndarray, B: np.ndarray, ring: Ring) -> np.ndarray:
+    """A @ B over a finite field or Z/p^k, through the ring's add and mul
+    tables: A (R, n) and B (n, D) hold element encodings, n >= 1.  One mul
+    gather builds every product A[r, i] * B[i, d], and n - 1 add gathers
+    sum them over i; the (R, D) result has the tables' dtype."""
+    add, mul = _chain_tables_for(ring)[:2]
+    terms = mul[np.asarray(A, dtype=np.intp)[:, :, None],
+                np.asarray(B, dtype=np.intp)[None, :, :]]  # (R, n, D)
+    out = terms[:, 0]
+    for i in range(1, terms.shape[1]):
+        out = add[out, terms[:, i]]
+    return out
+
+
+def projective_canon(P: np.ndarray, ring: Ring) -> np.ndarray:
+    """Each row of P over a finite field scaled so that its first nonzero
+    entry is one; zero rows stay zero."""
+    tables = _chain_tables_for(ring)
+    mul, inv = tables[1], tables[4]  # unit is inv over a field
+    lead = P[np.arange(P.shape[0]), (P != 0).argmax(1)]
+    return mul[inv[lead][:, None], P]
+
+
+def decode_candidates(gs: np.ndarray, q: int, dim: int) -> np.ndarray:
+    """Coordinate encodings of the projective candidates gs, one int64 row
+    each: row j is `decode_candidate(gs[j], q, dim)`, which stays a scalar
+    loop because one numpy call per coordinate costs several times more on
+    a single candidate."""
+    offs = lead_offsets(q, dim)
+    lead = np.searchsorted(offs, gs, side="right") - 1
+    rem = gs - offs[lead]
+    coords = np.zeros((gs.size, dim), dtype=np.int64)
+    coords[np.arange(gs.size), lead] = 1
+    for pos in range(dim - 1, 0, -1):
+        m = pos > lead
+        if m.any():
+            coords[m, pos] = rem[m] % q
+            rem[m] //= q
+    return coords
 
 
 def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
@@ -185,30 +223,26 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
     if nrows == 0:
         return np.full(stop - start, ncols, dtype=np.uint8)
     L = rows.reshape(nrows * ncols * kext, width)
-    offs = lead_offsets(q, dim)
     tables = _chain_tables_for(ring)
+    tdt = tables[0].dtype
     pw = p ** np.arange(kext, dtype=np.int64)
-    # float64 matmuls run in BLAS and stay exact: a digit-map entry is below
-    # p * p * dim * kext, far from 2**53
-    Lt, pwf = L.T.astype(np.float64), pw.astype(np.float64)
+    # float64 matmuls run in BLAS and stay exact: an entry of the product is
+    # a sum of dim * kext digit products, each at most (p - 1)**2, far from
+    # 2**53; the narrowest integer type holding that bound takes the % p
+    Lt = L.T.astype(np.float64)
+    dt = np.min_scalar_type((p - 1) ** 2 * dim * kext)
     out = np.zeros(stop - start, dtype=np.uint8)
     for lo in range(start, stop, _BLOCK):
         hi = min(lo + _BLOCK, stop)
-        gs = np.arange(lo, hi, dtype=np.int64)
-        lead = np.searchsorted(offs, gs, side="right") - 1
-        rem = gs - offs[lead]
         B = hi - lo
-        coords = np.zeros((B, dim), dtype=np.int64)
-        coords[np.arange(B), lead] = 1
-        for pos in range(dim - 1, 0, -1):
-            m = pos > lead
-            if m.any():
-                coords[m, pos] = rem[m] % q
-                rem[m] //= q
+        coords = decode_candidates(np.arange(lo, hi, dtype=np.int64), q, dim)
         digits = ((coords[:, :, None] // pw) % p).reshape(B, dim * kext)
-        mdig = np.fmod(digits.astype(np.float64) @ Lt, p)
-        mats = (mdig.reshape(B, nrows * ncols, kext) @ pwf).reshape(
-            B, nrows, ncols).astype(tables[0].dtype)
+        mdig = ((digits.astype(np.float64) @ Lt).astype(dt) % p).astype(
+            tdt, copy=False).reshape(B, nrows * ncols, kext)
+        mats = mdig[:, :, 0].copy()
+        for t in range(1, kext):
+            mats += mdig[:, :, t] * (p ** t)
+        mats = mats.reshape(B, nrows, ncols)
         out[lo - start:hi - start] = ncols - _block_length(mats, *tables)
     return out
 

@@ -65,15 +65,6 @@ def _budget(cap: Optional[int]) -> int:
     return int(env) if env else DEFAULT_CAP
 
 
-def _canon(vec: Sequence, ring: Ring) -> tuple:
-    """Canonical projective representative: first nonzero coordinate one."""
-    lead = next((x for x in vec if x != ring.zero), None)
-    if lead is None:
-        return tuple(vec)
-    u = ring.inv(lead)
-    return tuple(ring.mul(u, x) for x in vec)
-
-
 def _split_ranges(total: int, jobs: int) -> List[Tuple[int, int]]:
     jobs = max(1, jobs)
     step = (total + jobs - 1) // jobs
@@ -310,27 +301,32 @@ def scan_component(graph: Graph, m: Matroid, ring: Ring,
         raise CapExceeded(
             f"{ring.cardinality}**{dim_k} K-weights exceed the budget {budget}")
 
+    K = np.asarray(kb, dtype=np.intp)
     L, nr, nc = _kernels.build_digit_map(
-        lambda lam: _k_rows(lam, graph, m, ring, kb), kb, ring, dim_k)
+        lambda lam: _k_rows(lam, graph, m, ring, K), kb, ring, dim_k)
     total = _kernels.projective_total(ring.cardinality, dim_k)
     nullities = _scan_all(L, ring, dim_k, nr, nc, total, jobs)
     strata = tuple((d, int(c)) for d, c in enumerate(np.bincount(nullities))
                    if c)
-    points = []
-    for g in np.nonzero(nullities >= 2)[0]:
-        coeffs = _kernels.decode_candidate(int(g), ring.cardinality, dim_k)
-        points.append((_canon(ring.combine(coeffs, kb, m.n), ring),
-                       int(nullities[g])))
+    hits = np.flatnonzero(nullities >= 2)
+    coeffs = _kernels.decode_candidates(hits, ring.cardinality, dim_k)
+    carrier = _kernels.projective_canon(
+        _kernels.ring_product(coeffs, K, ring), ring)
+    points = tuple(zip(map(tuple, carrier.tolist()),
+                       nullities[hits].tolist()))
     return ComponentScan(graph, m.name, ring.spec, dim_k, total, strata,
-                         tuple(points), time.perf_counter() - t0, budget)
+                         points, time.perf_counter() - t0, budget)
 
 
 def _k_rows(lam: Sequence, graph: Graph, m: Matroid, ring: Ring,
-            kb: Sequence[tuple]) -> List[tuple]:
-    """Rows of the Z_Gamma(lambda) system projected onto K: each ambient
-    row r becomes (r . b for b in kb), so the kernel is in K-coordinates."""
-    return [tuple(ring.sum(ring.mul(row[i], b[i]) for i in range(m.n))
-                  for b in kb) for row in zgamma_rows(lam, graph, m, ring)]
+            K: np.ndarray) -> np.ndarray:
+    """Rows of the Z_Gamma(lambda) system projected onto K, the rows of the
+    (dim K, n) array K: each ambient row r becomes (r . b for b in K), so
+    the kernel is in K-coordinates.  The rows come from `zgamma_rows`; the
+    projection is one table product over the ring."""
+    rows = zgamma_rows(lam, graph, m, ring)
+    A = np.asarray(rows, dtype=np.intp).reshape(len(rows), m.n)
+    return _kernels.ring_product(A, K.T, ring)
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,9 @@ def carrier_degree(directrix_codims: Sequence[int], k: int,
     dim_carrier = dim_complex - depth + 2
     if dim_carrier < 1:
         raise ValueError(f"expected carrier dimension {dim_carrier} < 1")
+    if dim_carrier > k - 1:  # the carrier lies in P^(k-1)
+        raise ValueError(f"expected carrier dimension {dim_carrier} exceeds "
+                         f"dim P^{k - 1} = {k - 1}")
     target = (k - 2, k - 1 - depth)
     _check_shape(target, k)  # inadmissible target = no meaningful degree
     section = dim_carrier - 1

@@ -95,6 +95,12 @@ def test_domain_errors_exit_one(capsys):
     assert rc == 1 and "outside K" in err
 
 
+def test_degree_names_a_carrier_dimension_above_its_space(capsys):
+    rc, out, err = run(capsys, "degree", "--k", "4", "--codims", "1,1,1")
+    assert rc == 1 and out == ""
+    assert err == "error: expected carrier dimension 5 exceeds dim P^3 = 3\n"
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -39,6 +39,9 @@ def test_decode_candidate_enumerates_projective_space():
         points = list(_kernels.projective_points(q, dim))
         assert points == [_kernels.decode_candidate(g, q, dim)
                           for g in range(_kernels.projective_total(q, dim))]
+        block = _kernels.decode_candidates(
+            np.arange(len(points), dtype=np.int64), q, dim)
+        assert [tuple(r) for r in block.tolist()] == points
 
 
 def test_scan_matches_exact_kernel_f2():

@@ -4,11 +4,12 @@ exact ranks, and the kernel on component maps whose rows it shrinks."""
 import numpy as np
 import pytest
 
+import digit_map_reference as ref
 from resonance_lab import _kernels, oracle
 from resonance_lab.graphs import parse_graph
 from resonance_lab.matroid import catalog
 from resonance_lab.neighborly import CapExceeded, enumerate_neighborly, k_gamma
-from resonance_lab.oracle import _k_rows, regulus_check
+from resonance_lab.oracle import regulus_check
 from resonance_lab.rings import Matrix, make_ring, rank_field
 
 HESSIAN_GRAPH = "123|456|789|αβγ"
@@ -70,8 +71,9 @@ def _component_map(text, name, spec):
 
 def _map_of(g, m, ring):
     kb = k_gamma(g, m, ring)
+    K = np.asarray(kb, dtype=np.intp)
     L, nr, nc = _kernels.build_digit_map(
-        lambda lam: _k_rows(lam, g, m, ring, kb), kb, ring, len(kb))
+        lambda lam: oracle._k_rows(lam, g, m, ring, K), kb, ring, len(kb))
     return g, m, ring, kb, L, nr, nc
 
 
@@ -81,10 +83,12 @@ def _basis_rows(L, nr, nc, ring):
 
 
 def _check_candidates(g, m, ring, kb, nul, gs):
+    # the rows come from the entry-by-entry reference, not the table
+    # product the scanned map was built with
     q = ring.cardinality
     for gi in map(int, gs):
         coeffs = _kernels.decode_candidate(gi, q, len(kb))
-        rows = _k_rows(ring.combine(coeffs, kb, m.n), g, m, ring, kb)
+        rows = ref.k_rows(ring.combine(coeffs, kb, m.n), g, m, ring, kb)
         assert int(nul[gi]) == len(kb) - _rank(rows, ring, len(kb)), coeffs
 
 

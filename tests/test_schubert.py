@@ -92,3 +92,10 @@ def test_carrier_degree_errors():
         carrier_degree([2, 2, 2, 2], 4, 3)   # expected carrier dim < 1
     with pytest.raises(ValueError):
         carrier_degree([2], 5, 5)            # no admissible target shape
+
+
+def test_carrier_degree_rejects_a_carrier_larger_than_its_space():
+    # every codimension-1 directrix drops: dim complex 4, carrier 5 > 3
+    with pytest.raises(ValueError, match="carrier dimension 5 exceeds"):
+        carrier_degree([1, 1, 1], 4, 1)
+    assert carrier_degree([2, 2], 4, 1).dim_carrier == 3  # the bound itself
