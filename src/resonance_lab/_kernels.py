@@ -32,23 +32,29 @@ other rows with the exact quotients b // p^v and leaves p^(k - v) times
 the scaled pivot row in its place (Howell's saturation row, zero over a
 field).  The row module has length sum (k - v) over the columns, so the
 kernel has p^(k*C - length) elements; over a field the length is the rank.
-`scan_nullities` indexes candidates by projective representative (first
-nonzero coordinate one, ordered by the position of that leading one and
-then lexicographically in the remaining coordinates) and returns
-C - length.  `scan_lengths` walks every tuple of (Z/p^k)^dim in
-`itertools.product` order and returns the length; a plain pivot on the
-first nonzero entry would be wrong there, since over Z4 the row (2, 1)
-spans 4 elements, not 2.  `_min_valuations` gives the least valuation of
-each tuple's coordinates in the same order, which fixes the length of the
+`scan_nullities` returns C - length for projective candidates;
+`scan_lengths` returns the length for every tuple of (Z/p^k)^dim.  A plain
+pivot on the first nonzero entry would be wrong there, since over Z4 the
+row (2, 1) spans 4 elements, not 2.  `_min_valuations` gives the least
+valuation of each tuple's coordinates, which fixes the length of the
 parallel locus's row module.
+
+Candidates are numbered in one of two orders, with one decoder each.
+Tuples of (Z/q)^dim follow `itertools.product` order: tuple g has the
+base-q digits of g as coordinates, most significant first
+(`_product_digits`).  Projective candidates are the representatives with
+first nonzero coordinate one, ordered by the position i of that leading
+one and then lexicographically; candidate g with its lead at i is the
+product-order tuple g - offs[i] + q^(dim-1-i), where offs[i] counts the
+candidates leading before i (`decode_candidates`).  Every scan, carrier
+decode and exhaustive walk of the package goes through these two.
 Z/N for composite N splits into its prime-power factors by the Chinese
 remainder theorem; the caller scans each factor and joins the answers.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Iterator, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -59,10 +65,7 @@ __all__ = [
     "backend_name",
     "field_params",
     "projective_total",
-    "lead_offsets",
-    "decode_candidate",
     "decode_candidates",
-    "projective_points",
     "build_digit_map",
     "ring_product",
     "projective_canon",
@@ -98,36 +101,6 @@ def chain_params(ring: Ring) -> Tuple[int, int]:
 def projective_total(q: int, dim: int) -> int:
     """Number of projective representatives (first nonzero coordinate = 1)."""
     return (q ** dim - 1) // (q - 1)
-
-
-def lead_offsets(q: int, dim: int) -> np.ndarray:
-    """offsets[i] = first candidate index whose leading coordinate is i."""
-    offs = np.zeros(dim + 1, dtype=np.int64)
-    for i in range(dim):
-        offs[i + 1] = offs[i] + q ** (dim - 1 - i)
-    return offs
-
-
-def decode_candidate(g: int, q: int, dim: int) -> tuple:
-    """Coordinate encodings of the g-th projective representative."""
-    offs = lead_offsets(q, dim)
-    lead = int(np.searchsorted(offs, g, side="right")) - 1
-    rem = g - int(offs[lead])
-    coords = [0] * dim
-    coords[lead] = 1
-    for j in range(dim - 1 - lead):
-        coords[dim - 1 - j] = rem % q
-        rem //= q
-    return tuple(coords)
-
-
-def projective_points(q: int, dim: int) -> Iterator[tuple]:
-    """Every projective representative in candidate order:
-    ``list(projective_points(q, dim))[g] == decode_candidate(g, q, dim)``."""
-    for lead in range(dim):
-        head = (0,) * lead + (1,)
-        for rest in itertools.product(range(q), repeat=dim - 1 - lead):
-            yield head + rest
 
 
 def build_digit_map(system_rows: Callable[[tuple], Sequence[Sequence[int]]],
@@ -188,20 +161,21 @@ def projective_canon(P: np.ndarray, ring: Ring) -> np.ndarray:
 
 def decode_candidates(gs: np.ndarray, q: int, dim: int) -> np.ndarray:
     """Coordinate encodings of the projective candidates gs, one int64 row
-    each: row j is `decode_candidate(gs[j], q, dim)`, which stays a scalar
-    loop because one numpy call per coordinate costs several times more on
-    a single candidate."""
-    offs = lead_offsets(q, dim)
+    each.  Candidate g with its leading one at position i is the
+    `itertools.product`-order tuple number g - offs[i] + q^(dim-1-i), where
+    offs[i] = q^(dim-1) + ... + q^(dim-i) counts the candidates that lead
+    at an earlier position: the tuples that lead at i are exactly those
+    numbered q^(dim-1-i) .. 2 q^(dim-1-i) - 1 in product order."""
+    place = q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    offs = np.concatenate(([0], np.cumsum(place)))
     lead = np.searchsorted(offs, gs, side="right") - 1
-    rem = gs - offs[lead]
-    coords = np.zeros((gs.size, dim), dtype=np.int64)
-    coords[np.arange(gs.size), lead] = 1
-    for pos in range(dim - 1, 0, -1):
-        m = pos > lead
-        if m.any():
-            coords[m, pos] = rem[m] % q
-            rem[m] //= q
-    return coords
+    return _product_digits(gs - offs[lead] + place[lead], q, dim)
+
+
+def _product_digits(gs: np.ndarray, q: int, dim: int) -> np.ndarray:
+    """The tuples gs of (Z/q)^dim in `itertools.product` order, most
+    significant coordinate first, one int64 row each."""
+    return (gs[:, None] // q ** np.arange(dim - 1, -1, -1, dtype=np.int64)) % q
 
 
 def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
@@ -256,12 +230,10 @@ def scan_lengths(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
     q = ring.n
     tables = _chain_tables_for(ring)
     Lt = L.T.astype(np.int64)
-    place = q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
     out = np.zeros(stop - start, dtype=np.uint8)
     for lo in range(start, stop, _CHAIN_BLOCK):
         hi = min(lo + _CHAIN_BLOCK, stop)
-        gs = np.arange(lo, hi, dtype=np.int64)
-        coords = (gs[:, None] // place) % q
+        coords = _product_digits(np.arange(lo, hi, dtype=np.int64), q, dim)
         # an integer matmul: these blocks are too small to gain from BLAS,
         # whose first call would allocate its buffers
         mats = ((coords @ Lt) % q).reshape(

@@ -146,11 +146,10 @@ def carrier_contains(xi: Sequence, dirs: Sequence[Subspace],
 
 @dataclass(frozen=True)
 class Directrix:
-    """Subspace of K supported away from a block, in both coordinate systems."""
+    """Subspace of K supported away from a block."""
 
     blocks: Tuple[Tuple[int, ...], ...]  # blocks sharing this subspace
     space: Subspace                      # ambient coordinates
-    in_k: Subspace                       # coordinates of the K basis
 
     @property
     def dim(self) -> int:
@@ -210,11 +209,8 @@ def directrices(graph: Graph, m: Matroid, ring: Ring) -> DirectrixArrangement:
                 break
         else:
             found.append(([tuple(block)], sub))
-    members = []
-    for tags, sub in found:
-        in_k = span(ring, [K.coordinates_of(b) for b in sub.basis], K.dim)
-        members.append(Directrix(tuple(tags), sub, in_k))
-    return DirectrixArrangement(graph, ring, K, tuple(members))
+    members = tuple(Directrix(tuple(tags), sub) for tags, sub in found)
+    return DirectrixArrangement(graph, ring, K, members)
 
 
 def _block_vanishing(k_basis: Sequence[tuple], block: Sequence[int],

@@ -13,10 +13,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ._kernels import projective_points, projective_total
+import numpy as np
+
+from ._kernels import decode_candidates, projective_total
 from .graphs import Graph, is_neighborly
 from .matroid import Matroid, incidence_matrix
-from .osalg import _minor_graph, z_of
+from .osalg import _line_rows, _minor_graph, z_of
 from .rings import (IntegersModN, Matrix, Ring, howell_contains, is_parallel,
                     kernel_field, kernel_modn)
 
@@ -50,15 +52,12 @@ class CapExceeded(RuntimeError):
 class KPredicate:
     """K over Z/N: per-line sums must be zero divisors.
 
-    That condition is not linear, so K is a predicate rather than a module;
-    `zero_module` is the Howell form of the sub-locus where every line sum
-    is exactly zero, handy as a fast source of members.
+    That condition is not linear, so K is a predicate rather than a module.
     """
 
     ring: Ring
     x_lines: Tuple[Tuple[int, ...], ...]
     n: int
-    zero_module: Tuple[tuple, ...]
 
     def contains(self, xi: Sequence) -> bool:
         xi = self.ring.coerce_vector(xi)
@@ -82,11 +81,10 @@ def k_gamma(graph: Graph, m: Matroid, ring: Ring):
     proper subset of P(K).
     """
     xg = graph.x_gamma(m)
-    M = incidence_matrix(m, xg, ring)
     if ring.is_field:
-        return kernel_field(M)
+        return kernel_field(incidence_matrix(m, xg, ring))
     if isinstance(ring, IntegersModN):
-        return KPredicate(ring, xg, m.n, tuple(kernel_modn(M)))
+        return KPredicate(ring, xg, m.n)
     raise ValueError(f"unsupported ring {ring.spec}")
 
 
@@ -106,17 +104,9 @@ def zgamma_rows(lam: Sequence, graph: Graph, m: Matroid, ring: Ring) -> List[tup
     kernels and the exact path agree entry for entry.
     """
     lam = ring.coerce_vector(lam)
-    zero, rows = ring.zero, []
-    for X in graph.x_gamma(m):
-        lam_x = ring.sum(lam[i - 1] for i in X)
-        for k in X:
-            row = [zero] * m.n
-            for j in X:
-                row[j - 1] = ring.neg(lam[k - 1])
-            row[k - 1] = ring.sub(lam_x, lam[k - 1])
-            rows.append(tuple(row))
+    rows = [r for X in graph.x_gamma(m) for r in _line_rows(lam, X, X, ring)]
     for i, j in sorted(graph.edges):
-        row = [zero] * m.n
+        row = [ring.zero] * m.n
         row[j - 1] = lam[i - 1]
         row[i - 1] = ring.neg(lam[j - 1])
         rows.append(tuple(row))
@@ -476,19 +466,24 @@ def component_report(graph: Graph, m: Matroid, ring: Ring,
     if ring.is_field:
         dim_k, k_basis, zero_mod = len(ks), tuple(ks), None
         if ring.cardinality is not None and dim_k:
-            if projective_total(ring.cardinality, dim_k) > cap:
+            total = projective_total(ring.cardinality, dim_k)
+            if total > cap:
                 capped = True
             else:
-                for coeffs in projective_points(ring.cardinality, dim_k):
+                gs = np.arange(total, dtype=np.int64)
+                for coeffs in decode_candidates(gs, ring.cardinality, dim_k):
                     if len(pairs) >= max_samples:
                         break
-                    lam = ring.combine(coeffs, ks, m.n)
+                    lam = ring.combine(coeffs.tolist(), ks, m.n)
                     sol = z_gamma(lam, graph, m, ring)
                     if len(sol) >= 2:
                         eta = next(b for b in sol if not is_parallel(lam, b, ring))
                         pairs.append((lam, eta))
     else:
-        dim_k, k_basis, zero_mod = None, None, ks.zero_module
+        # the Howell form of the sub-locus where every line sum is exactly
+        # zero: a fast source of members of K
+        zero_mod = tuple(kernel_modn(incidence_matrix(m, ks.x_lines, ring)))
+        dim_k, k_basis = None, None
         try:
             base = SolutionModule(ring, zero_mod, ks)
             for lam in base.elements(cap):

@@ -173,10 +173,10 @@ def _scan_resonance_field(m: Matroid, ring: Ring,
     L, nr, nc = _dlambda_digit_map(m, ring)
     total = _kernels.projective_total(ring.cardinality, m.n)
     nullities = _scan_all(L, ring, m.n, nr, nc, total, jobs)
+    hits = np.flatnonzero(nullities >= 2)
+    lams = _kernels.decode_candidates(hits, ring.cardinality, m.n).tolist()
     out = []
-    for g in np.nonzero(nullities >= 2)[0]:
-        lam = _kernels.decode_candidate(int(g), ring.cardinality, m.n)
-        d = int(nullities[g])
+    for lam, d in zip(map(tuple, lams), nullities[hits].tolist()):
         zb = z_of(lam, m, ring)
         if len(zb) != d:
             raise ValueError(f"kernel nullity {d} of {lam} disagrees with "
@@ -195,7 +195,7 @@ def _scan_resonance_modn(m: Matroid,
     out = []
     for lo in range(1, N ** n, _WALK_BLOCK):
         gs = np.arange(lo, min(lo + _WALK_BLOCK, N ** n), dtype=np.int64)
-        coords = (gs[:, None] // N ** powers) % N
+        coords = _kernels._product_digits(gs, N, n)
         hit = np.zeros(gs.size, dtype=bool)
         for q, mask in factors:
             hit |= mask[(coords % q) @ q ** powers]
@@ -445,8 +445,9 @@ def regulus_check(ring: Ring, seed: int = 0,
     ambient = span(ring, [[ring.one if j == i else ring.zero for j in range(4)]
                           for i in range(4)], 4)
     count, all_one = 0, True
-    for xi in _kernels.projective_points(q, 4):
-        d = geom_depth(xi, planes, within=ambient)
+    points = np.arange(_kernels.projective_total(q, 4), dtype=np.int64)
+    for xi in _kernels.decode_candidates(points, q, 4):
+        d = geom_depth(xi.tolist(), planes, within=ambient)
         if d >= 1:
             count += 1
             if d != 1:

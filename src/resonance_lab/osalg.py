@@ -8,7 +8,7 @@ eta -> a_lambda ∧ a_eta is assembled per line X with rows indexed by
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .graphs import Graph
 from .matroid import Matroid
@@ -22,7 +22,6 @@ __all__ = [
     "z_of",
     "is_resonant_pair",
     "is_resonant",
-    "pair_support",
     "pair_graph",
     "rank2_partner",
 ]
@@ -37,16 +36,25 @@ def dlambda_matrix(lam: Sequence, m: Matroid, ring: Ring) -> Matrix:
     lam = ring.coerce_vector(lam)
     if len(lam) != m.n:
         raise ValueError(f"weight length {len(lam)} != n = {m.n}")
+    rows = tuple(r for X in m.all_lines for r in _line_rows(lam, X, X[1:], ring))
+    return Matrix(ring, rows, width=m.n)
+
+
+def _line_rows(lam: Sequence, X: Sequence[int], ks: Sequence[int],
+               ring: Ring) -> List[tuple]:
+    """Rows of eta -> lambda_X eta_k - lambda_k eta_X on the line X, one per
+    k in ks: entry lambda_X - lambda_k at column k, -lambda_k at the other
+    columns of X and zero elsewhere.  lam is already coerced."""
+    lam_X = ring.sum(lam[i - 1] for i in X)
     rows = []
-    for X in m.all_lines:
-        lam_X = ring.sum(lam[i - 1] for i in X)
-        for k in X[1:]:
-            row = [ring.zero] * m.n
-            for j in X:
-                val = lam_X if j == k else ring.zero
-                row[j - 1] = ring.sub(val, lam[k - 1])
-            rows.append(row)
-    return Matrix(ring, tuple(tuple(r) for r in rows), width=m.n)
+    for k in ks:
+        row = [ring.zero] * len(lam)
+        neg = ring.neg(lam[k - 1])
+        for j in X:
+            row[j - 1] = neg
+        row[k - 1] = ring.sub(lam_X, lam[k - 1])
+        rows.append(tuple(row))
+    return rows
 
 
 def wedge_components(lam: Sequence, eta: Sequence, m: Matroid, ring: Ring):
@@ -104,13 +112,6 @@ def is_resonant(lam: Sequence, m: Matroid, ring: Ring) -> bool:
     if ring.is_field:
         return len(gens) >= 2
     return any(not is_parallel(lam, g, ring) for g in gens)
-
-
-def pair_support(lam: Sequence, eta: Sequence, ring: Ring) -> Tuple[int, ...]:
-    lam = ring.coerce_vector(lam)
-    eta = ring.coerce_vector(eta)
-    return tuple(i + 1 for i in range(len(lam))
-                 if lam[i] != ring.zero or eta[i] != ring.zero)
 
 
 def _minor_graph(lam: Sequence, eta: Sequence, ring: Ring) -> Graph:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -485,14 +485,10 @@ def make_ring(spec: str) -> Ring:
             p, k = int(p_s), int(k_s)
         else:
             q = int(body)
-            if _is_prime(q):
-                if modulus is not None:
-                    raise ValueError("modulus only applies to extension fields")
-                return PrimeField(q)
-            # perfect prime power?
-            p = next((f for f in range(2, q) if q % f == 0 and _is_prime(f)), None)
-            if p is None:
+            if q < 2:
                 raise ValueError(f"{q} is not a prime power")
+            # the least factor of q above 1 is prime
+            p = next((f for f in range(2, isqrt(q) + 1) if q % f == 0), q)
             k = 0
             m = q
             while m > 1:
@@ -501,6 +497,8 @@ def make_ring(spec: str) -> Ring:
                 m //= p
                 k += 1
         if k == 1:
+            if modulus is not None:
+                raise ValueError("modulus only applies to extension fields")
             return PrimeField(p)
         return ExtensionField(p, k, modulus)
     raise ValueError(f"bad ring spec {spec!r}")
@@ -577,9 +575,6 @@ class Matrix:
         if self.rows:
             return len(self.rows[0])
         return self.width if self.width >= 0 else 0
-
-    def column(self, j: int) -> tuple:
-        return tuple(row[j] for row in self.rows)
 
 
 def rref_field(M: Matrix) -> Tuple[List[list], List[int]]:

@@ -1,13 +1,17 @@
-"""Reference digit maps for the component scans, one entry at a time.
+"""Reference digit maps and candidate order for the scans, one entry at a
+time.
 
 `k_rows` projects the Z_Gamma(lambda) rows onto K through `Ring.sum` and
 `Ring.mul`, and `digit_map` splits each entry into its base-p digits in a
 Python loop.  They share nothing with the table product of
 `oracle._k_rows` or the numpy digit split of `_kernels.build_digit_map`
 beyond the exact row builder `zgamma_rows`, so the scans' maps can be held
-to them entry for entry.
+to them entry for entry.  `projective_points` lists the projective
+candidates with `itertools`, independently of the index arithmetic of
+`_kernels.decode_candidates`.
 """
 
+import itertools
 from typing import List
 
 import numpy as np
@@ -64,3 +68,11 @@ def canon(vec, ring) -> tuple:
         return tuple(vec)
     u = ring.inv(lead)
     return tuple(ring.mul(u, x) for x in vec)
+
+
+def projective_points(q, dim) -> List[tuple]:
+    """Every projective representative of (Z/q)^dim in candidate order: by
+    the position of the leading one, then lexicographically in the
+    coordinates after it."""
+    return [(0,) * lead + (1,) + rest for lead in range(dim)
+            for rest in itertools.product(range(q), repeat=dim - 1 - lead)]

@@ -95,6 +95,13 @@ def test_domain_errors_exit_one(capsys):
     assert rc == 1 and "outside K" in err
 
 
+def test_modulus_on_a_prime_field_exits_one(capsys):
+    rc, out, err = run(capsys, "scan", "--matroid", "braid-K4",
+                       "--ring", "F3^1:5")
+    assert rc == 1 and out == ""
+    assert err == "error: modulus only applies to extension fields\n"
+
+
 def test_degree_names_a_carrier_dimension_above_its_space(capsys):
     rc, out, err = run(capsys, "degree", "--k", "4", "--codims", "1,1,1")
     assert rc == 1 and out == ""

@@ -33,7 +33,7 @@ def _check_component(g, m, ring):
     # the carrier decode: every point, in candidate order, canonical
     total = _kernels.projective_total(ring.cardinality, len(kb))
     nul = _kernels.scan_nullities(rL, ring, len(kb), rnr, rnc, 0, total)
-    candidates = list(_kernels.projective_points(ring.cardinality, len(kb)))
+    candidates = ref.projective_points(ring.cardinality, len(kb))
     want = []
     for gi in np.flatnonzero(nul >= 2):
         coeffs = candidates[gi]

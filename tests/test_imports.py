@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every name it exports exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "resonance_lab"
@@ -39,3 +41,17 @@ def test_package_modules_have_no_unused_imports():
     assert modules
     unused = {p.name: _unused_imports(p.read_text()) for p in modules}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def test_every_export_resolves():
+    names = ["resonance_lab"] + [f"resonance_lab.{p.stem}"
+                                 for p in sorted(PACKAGE.glob("*.py"))
+                                 if p.name != "__init__.py"]
+    missing = {}
+    for name in names:
+        module = importlib.import_module(name)
+        stale = [a for a in getattr(module, "__all__", ())
+                 if not hasattr(module, a)]
+        if stale:
+            missing[name] = stale
+    assert missing == {}

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import digit_map_reference as ref
 from resonance_lab import _kernels, oracle
 from resonance_lab.matroid import catalog
 from resonance_lab.osalg import dlambda_matrix, z_of
@@ -21,27 +22,25 @@ def test_projective_totals():
 
 
 def test_decode_candidate_enumerates_projective_space():
-    q, dim = 3, 3
+    for q, dim in ((3, 3), (4, 2), (2, 5), (9, 3), (2, 8)):
+        total = _kernels.projective_total(q, dim)
+        got = _kernels.decode_candidates(np.arange(total, dtype=np.int64),
+                                         q, dim)
+        assert got.dtype == np.int64 and got.shape == (total, dim)
+        points = [tuple(r) for r in got.tolist()]
+        assert all(next(x for x in v if x) == 1 for v in points)
+        assert len(set(points)) == total
+        assert points == ref.projective_points(q, dim), (q, dim)
+        # any subset decodes row by row, in the order given
+        picks = np.random.default_rng(q * dim).integers(0, total, size=50)
+        assert [tuple(r) for r in _kernels.decode_candidates(
+            picks, q, dim).tolist()] == [points[g] for g in picks]
+
+
+def _candidates(q, dim):
     total = _kernels.projective_total(q, dim)
-    seen = set()
-    for g in range(total):
-        v = _kernels.decode_candidate(g, q, dim)
-        assert len(v) == dim
-        lead = next(x for x in v if x)
-        assert lead == 1
-        seen.add(v)
-    assert len(seen) == total
-    offs = _kernels.lead_offsets(q, dim)
-    assert offs[0] == 0 and offs[dim] == total
-    assert all(offs[i] < offs[i + 1] for i in range(dim))
-    # the generator walks the same candidates in kernel index order
-    for q, dim in ((3, 3), (4, 2), (2, 5)):
-        points = list(_kernels.projective_points(q, dim))
-        assert points == [_kernels.decode_candidate(g, q, dim)
-                          for g in range(_kernels.projective_total(q, dim))]
-        block = _kernels.decode_candidates(
-            np.arange(len(points), dtype=np.int64), q, dim)
-        assert [tuple(r) for r in block.tolist()] == points
+    return _kernels.decode_candidates(np.arange(total, dtype=np.int64),
+                                      q, dim).tolist()
 
 
 def test_scan_matches_exact_kernel_f2():
@@ -50,8 +49,7 @@ def test_scan_matches_exact_kernel_f2():
     L, nr, nc = oracle._dlambda_digit_map(m, ring)
     total = _kernels.projective_total(2, m.n)
     nul = _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, total)
-    for g in range(total):
-        lam = _kernels.decode_candidate(g, 2, m.n)
+    for g, lam in enumerate(_candidates(2, m.n)):
         assert int(nul[g]) == len(z_of(lam, m, ring)), lam
 
 
@@ -63,8 +61,8 @@ def test_scan_spot_check_extension_field():
     total = _kernels.projective_total(4, m.n)
     nul = _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, total)
     rng = np.random.default_rng(0)
-    for g in map(int, rng.integers(0, total, size=40)):
-        lam = _kernels.decode_candidate(g, 4, m.n)
+    gs = rng.integers(0, total, size=40)
+    for g, lam in zip(gs, _kernels.decode_candidates(gs, 4, m.n).tolist()):
         assert int(nul[g]) == len(z_of(lam, m, ring)), lam
     # windowed scans glue to the full one
     mid = total // 2
@@ -93,8 +91,7 @@ def test_digit_map_of_a_system_with_no_rows():
     assert nul.tolist() == [4] * 40
 
 
-def _reference_nullity(g, m, ring):
-    lam = _kernels.decode_candidate(g, ring.cardinality, m.n)
+def _reference_nullity(lam, m, ring):
     return m.n - rank_field(dlambda_matrix(lam, m, ring))
 
 
@@ -109,8 +106,8 @@ def test_scan_matches_rank_field_on_every_candidate(name, spec):
     m, ring = catalog(name), make_ring(spec)
     nul = _full_scan(m, ring)
     assert nul.size == _kernels.projective_total(ring.cardinality, m.n)
-    for g in range(nul.size):
-        assert int(nul[g]) == _reference_nullity(g, m, ring), g
+    for g, lam in enumerate(_candidates(ring.cardinality, m.n)):
+        assert int(nul[g]) == _reference_nullity(lam, m, ring), g
 
 
 @pytest.mark.parametrize("name,spec", [("braid-K4", "F9"), ("pencil-3", "F257")])
@@ -122,8 +119,10 @@ def test_scan_matches_rank_field_on_resonant_and_sampled(name, spec):
     assert resonant.size > 0
     rng = np.random.default_rng(2)
     sampled = rng.choice(nul.size, size=min(2000, nul.size), replace=False)
-    for g in map(int, np.union1d(resonant, sampled)):
-        assert int(nul[g]) == _reference_nullity(g, m, ring), g
+    gs = np.union1d(resonant, sampled)
+    lams = _kernels.decode_candidates(gs, ring.cardinality, m.n).tolist()
+    for g, lam in zip(gs, lams):
+        assert int(nul[g]) == _reference_nullity(lam, m, ring), g
 
 
 def test_windows_glue_across_block_boundaries():

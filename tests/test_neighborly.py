@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from resonance_lab import neighborly
 from resonance_lab.graphs import from_blocks, parse_graph
 from resonance_lab.matroid import catalog
 from resonance_lab.neighborly import (component_report, decomposition_check,
@@ -36,6 +37,29 @@ def test_k_gamma_modn_is_predicate():
     assert pred.contains((1, 1, 0, 0, 3, 3))
     assert pred.contains((2, 2, 0, 0, 0, 0))  # 2s sum to a zero divisor times 2
     assert not pred.contains((1, 0, 0, 0, 0, 0))
+
+
+def test_modn_z_gamma_computes_one_module(monkeypatch):
+    # K over Z/N is a predicate: z_gamma eliminates its own system only
+    calls = []
+    real = neighborly.kernel_modn
+
+    def counted(M):
+        calls.append(M.nrows)
+        return real(M)
+
+    monkeypatch.setattr(neighborly, "kernel_modn", counted)
+    lam = (1, 1, 0, 0, 3, 3)
+    sol = z_gamma(lam, BRAID_G, BRAID, Z4)
+    assert len(calls) == 1
+    assert calls[0] == len(zgamma_rows(lam, BRAID_G, BRAID, Z4))
+    assert sol.contains(lam)
+    # the report still carries the module where every line sum is zero
+    rep = component_report(BRAID_G, BRAID, Z4)
+    assert rep.zero_module
+    for v in rep.zero_module:
+        for X in BRAID_G.x_gamma(BRAID):
+            assert sum(v[i - 1] for i in X) % 4 == 0
 
 
 def test_z_gamma_subset_of_z():

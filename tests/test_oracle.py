@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from resonance_lab import _kernels, oracle, osalg
@@ -282,7 +283,7 @@ def test_scan_component_with_no_rows_keeps_every_column():
     cs = scan_component(g, m, F3)
     assert cs.dim_k == 4
     assert cs.strata == ((4, 40),)
-    for lam in _kernels.projective_points(3, 4):
+    for lam in _kernels.decode_candidates(np.arange(40), 3, 4).tolist():
         assert len(z_gamma(lam, g, m, F3)) == 4
 
 

@@ -30,6 +30,14 @@ def test_make_ring_specs():
         make_ring("banana")
 
 
+def test_make_ring_rejects_a_modulus_on_a_prime_field():
+    assert make_ring("F3^1").spec == "F3"
+    for spec in ("F3:5", "F3^1:5"):
+        with pytest.raises(ValueError, match="only applies to extension"):
+            make_ring(spec)
+    assert make_ring("F3^2:10").spec == "F3^2:10"
+
+
 def test_prime_field_arithmetic():
     f5 = make_ring("F5")
     assert f5.add(3, 4) == 2

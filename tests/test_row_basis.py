@@ -85,9 +85,9 @@ def _basis_rows(L, nr, nc, ring):
 def _check_candidates(g, m, ring, kb, nul, gs):
     # the rows come from the entry-by-entry reference, not the table
     # product the scanned map was built with
-    q = ring.cardinality
-    for gi in map(int, gs):
-        coeffs = _kernels.decode_candidate(gi, q, len(kb))
+    gs = np.asarray(gs, dtype=np.int64)
+    coeffs_of = _kernels.decode_candidates(gs, ring.cardinality, len(kb))
+    for gi, coeffs in zip(gs, coeffs_of.tolist()):
         rows = ref.k_rows(ring.combine(coeffs, kb, m.n), g, m, ring, kb)
         assert int(nul[gi]) == len(kb) - _rank(rows, ring, len(kb)), coeffs
 
