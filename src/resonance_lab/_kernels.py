@@ -39,6 +39,15 @@ row (2, 1) spans 4 elements, not 2.  `_min_valuations` gives the least
 valuation of each tuple's coordinates, which fixes the length of the
 parallel locus's row module.
 
+The weights a Z/N scan reports need an explicit partner, not a length.
+`_smith_kernels` gives each of them exactly the generator list
+`rings.kernel_modn` returns for its d_lambda: it replays the reference's
+integer Smith elimination of [d_lambda | N*I] on a whole chunk of weights in
+lockstep, one pass of the reference loop body per numpy round, in int64
+with a bound that hands the chunk's unfinished matrices back to
+`kernel_modn` before a product could overflow.  Only the Howell reduction
+of each weight's generators stays per weight.
+
 Candidates are numbered in one of two orders, with one decoder each.
 Tuples of (Z/q)^dim follow `itertools.product` order: tuple g has the
 base-q digits of g as coordinates, most significant first
@@ -54,12 +63,12 @@ remainder theorem; the caller scans each factor and joins the answers.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .rings import (ExtensionField, IntegersModN, PrimeField, Ring,
-                    prime_power_factors)
+from .rings import (ExtensionField, IntegersModN, Matrix, PrimeField, Ring,
+                    howell_form, kernel_modn, prime_power_factors)
 
 __all__ = [
     "backend_name",
@@ -172,6 +181,16 @@ def decode_candidates(gs: np.ndarray, q: int, dim: int) -> np.ndarray:
     return _product_digits(gs - offs[lead] + place[lead], q, dim)
 
 
+def _projective_walk(q: int, dim: int):
+    """The projective candidates of (F_q)^dim in order, one int64 row each,
+    decoded `_BLOCK` at a time: a walk that stops early decodes at most one
+    block beyond the candidates it visits."""
+    total = projective_total(q, dim)
+    for lo in range(0, total, _BLOCK):
+        gs = np.arange(lo, min(lo + _BLOCK, total), dtype=np.int64)
+        yield from decode_candidates(gs, q, dim)
+
+
 def _product_digits(gs: np.ndarray, q: int, dim: int) -> np.ndarray:
     """The tuples gs of (Z/q)^dim in `itertools.product` order, most
     significant coordinate first, one int64 row each."""
@@ -253,6 +272,91 @@ def _min_valuations(ring: Ring, dim: int) -> np.ndarray:
     return out.ravel()
 
 
+def _smith_kernels(L: np.ndarray, ring: IntegersModN, nrows: int, ncols: int,
+                   coords: np.ndarray) -> List[List[tuple]]:
+    """For each row of coords, the generators `kernel_modn` returns for its
+    system matrix (coords @ L.T) % N, with L a Z/N digit map: the Smith
+    form of every [M | N*I] of the chunk replayed in lockstep in int64.
+
+    Each round runs one pass of the `smith_normal_form` loop body on every
+    unfinished matrix at its own step t: the row-major first least |entry|
+    of the trailing block as pivot, the two swaps and the sign fix, the row
+    quotient steps (each reads the unchanged row t), the column quotient
+    steps (each reads column t, which none of them changes; numpy's // floors
+    like Python's), then either another pass on remainders or the fix-up
+    that adds the first row holding an entry the pivot does not divide.
+    U is not kept, and V keeps only its first ncols rows, the ones
+    `kernel_modn` reads: a column step acts on each row of V on its own.
+    [M | N*I] has full row rank, so the pivots fill the diagonal and the
+    generators are the nonzero columns of V[:, nrows:] mod N, Howell-reduced.
+    Once an entry outgrows `_SMITH_BOUND`, the matrices still unfinished go
+    to `kernel_modn` one at a time.
+    """
+    N, R, n = ring.n, nrows, ncols
+    mats = (np.asarray(coords, dtype=np.int64) @ L.T % N).reshape(-1, R, n)
+    B, C = mats.shape[0], n + R
+    A = np.zeros((B, R, C), dtype=np.int64)
+    A[:, :, :n] = mats
+    A[:, :, n:] = N * np.eye(R, dtype=np.int64)
+    V = np.zeros((B, n, C), dtype=np.int64)
+    V[:, :, :n] = np.eye(n, dtype=np.int64)
+    t = np.zeros(B, dtype=np.int64)
+    idx = np.arange(B)  # chunk position of each unfinished matrix
+    done: List[List[tuple]] = [None] * B
+    rows, cols = np.arange(R), np.arange(C)
+    # a pivot key per entry: |a| - 1 as uint64 (so 0 wraps to the top),
+    # with bit 63 set outside the trailing block of step t
+    outside = ~((rows >= rows[:, None])[:, :, None]
+                & (cols >= rows[:, None])[:, None, :])
+    high = outside.astype(np.uint64) << np.uint64(63)  # (R, R, C) by t
+    while idx.size and R:
+        mag = np.abs(A)
+        if max(mag.max(), np.abs(V).max()) > _SMITH_BOUND:
+            break
+        every, tt = np.arange(idx.size), t[:, None]
+        below, right = rows > tt, cols > tt  # (b, R) and (b, C)
+        key = ((mag.view(np.uint64) - np.uint64(1)) | high[t]).reshape(
+            idx.size, -1)
+        best = key.argmin(1)
+        if key[every, best].max() >> np.uint64(63):
+            break  # a zero trailing block: impossible at full row rank
+        bi, bj = np.divmod(best, C)
+        A[every, t], A[every, bi] = A[every, bi], A[every, t]
+        A[every, :, t], A[every, :, bj] = A[every, :, bj], A[every, :, t]
+        V[every, :, t], V[every, :, bj] = V[every, :, bj], V[every, :, t]
+        A[every, t] *= np.where(A[every, t, t] < 0, -1, 1)[:, None]
+        piv = A[every, t, t][:, None]
+        f = np.where(below, -(A[every, :, t] // piv), 0)
+        A += f[:, :, None] * A[every, t][:, None, :]
+        g = np.where(right, -(A[every, t] // piv), 0)
+        A += A[every, :, t][:, :, None] * g[:, None, :]
+        V += V[every, :, t][:, :, None] * g[:, None, :]
+        dirty = ((A[every, :, t] != 0) & below).any(1) | (
+            (A[every, t] != 0) & right).any(1)
+        # the fix-up looks at clean steps; a pivot of one divides everything
+        look = np.flatnonzero(~dirty & (piv[:, 0] > 1))
+        stain = np.zeros((idx.size, R), dtype=bool)
+        stain[look] = ((A[look] % piv[look, :, None] != 0)
+                       & below[look, :, None] & right[look, None, :]).any(2)
+        fix = stain.any(1)
+        A[every[fix], t[fix]] += A[every[fix], stain[fix].argmax(1)]
+        t = np.where(dirty | fix, t, t + 1)
+        fin = t == R
+        if fin.any():
+            for b, v in zip(idx[fin].tolist(), V[fin][:, :, R:] % N):
+                gens = v.T[v.any(0)]  # the nonzero columns, in order
+                done[b] = howell_form(gens.tolist(), N)
+            keep = ~fin
+            A, V, t, idx = A[keep], V[keep], t[keep], idx[keep]
+    for b in idx.tolist():
+        done[b] = kernel_modn(Matrix.from_rows(ring, mats[b].tolist(), width=n))
+    return done
+
+
+# the Smith replay multiplies entries by quotients no larger than them:
+# entries within 2^31 keep every product of the next round below 2^62, and
+# each of its sums below 2^63
+_SMITH_BOUND = 2 ** 31
 _BLOCK = 4096
 # each column step of the elimination rewrites every column right of it
 # through intp table indices; blocks of 256 keep those Z/p^k temporaries

@@ -13,9 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ._kernels import decode_candidates, projective_total
+from ._kernels import _projective_walk, projective_total
 from .graphs import Graph, is_neighborly
 from .matroid import Matroid, incidence_matrix
 from .osalg import _line_rows, _minor_graph, z_of
@@ -470,8 +468,7 @@ def component_report(graph: Graph, m: Matroid, ring: Ring,
             if total > cap:
                 capped = True
             else:
-                gs = np.arange(total, dtype=np.int64)
-                for coeffs in decode_candidates(gs, ring.cardinality, dim_k):
+                for coeffs in _projective_walk(ring.cardinality, dim_k):
                     if len(pairs) >= max_samples:
                         break
                     lam = ring.combine(coeffs.tolist(), ks, m.n)

@@ -156,10 +156,14 @@ def test_scan_modn_raises_on_partner_outside_z(monkeypatch):
     assert not wedge_is_zero(bad_lam, bad_eta, m, Z4)
     assert not is_parallel(bad_lam, bad_eta, Z4)
 
-    def wrong_z(lam, m, ring):
-        return [bad_eta] if tuple(lam) == bad_lam else z_of(lam, m, ring)
+    real = _kernels._smith_kernels
 
-    monkeypatch.setattr(oracle, "z_of", wrong_z)
+    def wrong_z(L, ring, nrows, ncols, coords):
+        gens = real(L, ring, nrows, ncols, coords)
+        return [[bad_eta] if tuple(lam) == bad_lam else z
+                for lam, z in zip(coords.tolist(), gens)]
+
+    monkeypatch.setattr(_kernels, "_smith_kernels", wrong_z)
     with pytest.raises(ValueError, match="not resonant"):
         scan_resonance(m, Z4)
 
@@ -232,10 +236,21 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_scan_computes_each_z_once(monkeypatch):
+    rows = []
+    real = _kernels._smith_kernels
+
+    def counted(L, ring, nrows, ncols, coords):
+        rows.extend(coords.tolist())
+        return real(L, ring, nrows, ncols, coords)
+
+    monkeypatch.setattr(_kernels, "_smith_kernels", counted)
     modn = _count_calls(monkeypatch, osalg, "kernel_modn")
+    modn_fallback = _count_calls(monkeypatch, _kernels, "kernel_modn")
     field = _count_calls(monkeypatch, osalg, "kernel_field")
     rep = scan_resonance(catalog("pencil-3"), make_ring("Z4"))
-    assert len(modn) == len(rep.points) == 27
+    assert len(rows) == len(rep.points) == 27
+    assert [tuple(r) for r in rows] == [p.lam for p in rep.points]
+    assert not modn and not modn_fallback
     assert not field
     rep = scan_resonance(catalog("nonfano"), F3)
     assert len(rep.points) > 0

@@ -1,0 +1,107 @@
+"""The batched Smith replay behind Z/N scan witnesses: for every weight it
+must return exactly the generator list `kernel_modn` returns for d_lambda."""
+
+import random
+
+import numpy as np
+import pytest
+
+from resonance_lab import _kernels, oracle
+from resonance_lab.matroid import catalog
+from resonance_lab.osalg import dlambda_matrix, is_resonant
+from resonance_lab.rings import Matrix, kernel_modn, make_ring
+
+
+def _batched(m, ring, lams, chunk=128):
+    L, nr, nc = oracle._dlambda_digit_map(m, ring)
+    coords = np.asarray(lams, dtype=np.int64).reshape(-1, m.n)
+    out = []
+    for lo in range(0, len(coords), chunk):
+        out += _kernels._smith_kernels(L, ring, nr, nc, coords[lo:lo + chunk])
+    return out
+
+
+def _assert_lists_equal(m, ring, lams):
+    got = _batched(m, ring, lams)
+    assert len(got) == len(lams)
+    for lam, gens in zip(lams, got):
+        assert gens == kernel_modn(dlambda_matrix(lam, m, ring)), lam
+
+
+@pytest.mark.parametrize("name,spec", [
+    ("braid-K4", "Z4"), ("pencil-5", "Z6"), ("pencil-3", "Z4"),
+    ("pencil-3", "Z8"), ("pencil-3", "Z9"), ("pencil-3", "Z12"),
+    ("pencil-3", "Z27"), ("pencil-4", "Z8")])
+def test_generators_equal_kernel_modn_on_every_reported_weight(name, spec):
+    m, ring = catalog(name), make_ring(spec)
+    lams = [p.lam for p in oracle.scan_resonance(m, ring).points]
+    assert lams
+    _assert_lists_equal(m, ring, lams)
+
+
+@pytest.mark.parametrize("name", ["nonfano", "deletedB3"])
+def test_generators_equal_kernel_modn_on_sampled_weights(name):
+    # random tuples of Z4, reported or not, plus tuples with a run of zero
+    # coordinates and the zero tuple itself
+    m, ring = catalog(name), make_ring("Z4")
+    rng = random.Random(f"smith:{name}")
+    lams = [tuple(rng.randrange(4) for _ in range(m.n)) for _ in range(150)]
+    for _ in range(50):
+        lam = [rng.randrange(4) for _ in range(m.n)]
+        zeros = rng.randrange(1, m.n)
+        lam[:zeros] = [0] * zeros
+        lams.append(tuple(rng.sample(lam, m.n)))
+    lams.append((0,) * m.n)
+    resonant = [is_resonant(lam, m, ring) for lam in lams]
+    assert any(resonant) and not all(resonant)
+    assert any(0 in lam for lam in lams)
+    _assert_lists_equal(m, ring, lams)
+
+
+def test_entries_past_the_bound_hand_the_chunk_to_kernel_modn(monkeypatch):
+    m, ring = catalog("braid-K4"), make_ring("Z4")
+    lams = [p.lam for p in oracle.scan_resonance(m, ring).points][:300]
+    expected = [kernel_modn(dlambda_matrix(lam, m, ring)) for lam in lams]
+    calls = []
+    real = _kernels.kernel_modn
+
+    def counted(M):
+        calls.append(1)
+        return real(M)
+
+    monkeypatch.setattr(_kernels, "kernel_modn", counted)
+    monkeypatch.setattr(_kernels, "_SMITH_BOUND", 4)
+    assert _batched(m, ring, lams) == expected
+    assert 0 < len(calls) <= len(lams)
+
+
+def test_scan_modn_does_not_depend_on_smith_chunk(monkeypatch):
+    # pencil-4/Z6 reports 801 weights: chunks of 7 leave a short last chunk
+    m, ring = catalog("pencil-4"), make_ring("Z6")
+    full = oracle.scan_resonance(m, ring).to_jsonable()
+    assert full["resonant_count"] % 7
+    monkeypatch.setattr(oracle, "_SMITH_CHUNK", 7)
+    small = oracle.scan_resonance(m, ring).to_jsonable()
+    for rep in (full, small):
+        rep.pop("seconds")
+    assert small == full
+
+
+@pytest.mark.parametrize("N,R,n", [(4, 3, 4), (12, 3, 3), (36, 4, 5),
+                                   (72, 3, 4), (9, 4, 6)])
+def test_generators_equal_kernel_modn_on_random_matrices(N, R, n):
+    # the identity digit map makes the coordinates the matrix entries, so
+    # the replay meets pivots that leave part of the trailing block
+    # undivided; without the reference's fix-up step a few of these lists
+    # come out different
+    ring = make_ring(f"Z{N}")
+    rng = random.Random(f"smith:{N}:{R}:{n}")
+    mats = np.array([[rng.randrange(N) for _ in range(R * n)]
+                     for _ in range(600)])
+    L = np.eye(R * n, dtype=np.int64)
+    got = []
+    for lo in range(0, len(mats), 128):
+        got += _kernels._smith_kernels(L, ring, R, n, mats[lo:lo + 128])
+    for M, gens in zip(mats, got):
+        rows = M.reshape(R, n).tolist()
+        assert gens == kernel_modn(Matrix.from_rows(ring, rows, width=n)), rows
