@@ -45,8 +45,9 @@ The weights a Z/N scan reports need an explicit partner, not a length.
 integer Smith elimination of [d_lambda | N*I] on a whole chunk of weights in
 lockstep, one pass of the reference loop body per numpy round, in int64
 with a bound that hands the chunk's unfinished matrices back to
-`kernel_modn` before a product could overflow.  Only the Howell reduction
-of each weight's generators stays per weight.
+`kernel_modn` before a product could overflow.  `_howell_forms` then
+replays `rings.howell_form` on the generators of the whole chunk at once,
+with the same pool order, merges and reverse-order reduction.
 
 Candidates are numbered in one of two orders, with one decoder each.
 Tuples of (Z/q)^dim follow `itertools.product` order: tuple g has the
@@ -68,7 +69,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from .rings import (ExtensionField, IntegersModN, Matrix, PrimeField, Ring,
-                    howell_form, kernel_modn, prime_power_factors)
+                    _unit_to_divisor, kernel_modn, prime_power_factors)
 
 __all__ = [
     "backend_name",
@@ -288,9 +289,10 @@ def _smith_kernels(L: np.ndarray, ring: IntegersModN, nrows: int, ncols: int,
     U is not kept, and V keeps only its first ncols rows, the ones
     `kernel_modn` reads: a column step acts on each row of V on its own.
     [M | N*I] has full row rank, so the pivots fill the diagonal and the
-    generators are the nonzero columns of V[:, nrows:] mod N, Howell-reduced.
-    Once an entry outgrows `_SMITH_BOUND`, the matrices still unfinished go
-    to `kernel_modn` one at a time.
+    generators are the nonzero columns of V[:, nrows:] mod N; one call of
+    `_howell_forms` reduces those of the whole chunk.  Once an entry
+    outgrows `_SMITH_BOUND`, the matrices still unfinished go to
+    `kernel_modn` one at a time.
     """
     N, R, n = ring.n, nrows, ncols
     mats = (np.asarray(coords, dtype=np.int64) @ L.T % N).reshape(-1, R, n)
@@ -302,7 +304,7 @@ def _smith_kernels(L: np.ndarray, ring: IntegersModN, nrows: int, ncols: int,
     V[:, :, :n] = np.eye(n, dtype=np.int64)
     t = np.zeros(B, dtype=np.int64)
     idx = np.arange(B)  # chunk position of each unfinished matrix
-    done: List[List[tuple]] = [None] * B
+    G = np.zeros((B, n, n), dtype=np.int64)  # generator rows by position
     rows, cols = np.arange(R), np.arange(C)
     # a pivot key per entry: |a| - 1 as uint64 (so 0 wraps to the top),
     # with bit 63 set outside the trailing block of step t
@@ -343,14 +345,117 @@ def _smith_kernels(L: np.ndarray, ring: IntegersModN, nrows: int, ncols: int,
         t = np.where(dirty | fix, t, t + 1)
         fin = t == R
         if fin.any():
-            for b, v in zip(idx[fin].tolist(), V[fin][:, :, R:] % N):
-                gens = v.T[v.any(0)]  # the nonzero columns, in order
-                done[b] = howell_form(gens.tolist(), N)
+            # the generators: the columns of V[:, nrows:] mod N, as rows
+            G[idx[fin]] = V[fin][:, :, R:].transpose(0, 2, 1) % N
             keep = ~fin
             A, V, t, idx = A[keep], V[keep], t[keep], idx[keep]
+    H = _howell_forms(G, N)
+    nz = H.any(2)  # the pivot rows of each form, in pivot order
+    flat = list(map(tuple, H[nz].tolist()))
+    ends = np.cumsum(nz.sum(1)).tolist()
+    done = [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
     for b in idx.tolist():
         done[b] = kernel_modn(Matrix.from_rows(ring, mats[b].tolist(), width=n))
     return done
+
+
+def _howell_forms(G: np.ndarray, N: int) -> np.ndarray:
+    """`rings.howell_form` of every generator list G[b] over Z/N, replayed
+    in lockstep on the whole (B, m, n) array G.
+
+    Row c of the (B, n, n) result holds the form's row with its pivot in
+    column c, and zeros where no row has it; the nonzero rows of out[b], in
+    order, are howell_form(G[b], N) row for row.  The reference drops
+    all-zero rows, so lists of different lengths pad with zero rows, and a
+    zero row in the pool is inert: it is never selected and keeps the order
+    of the others.  Per column c, as in the reference: the rows nonzero at c
+    leave the pool in pool order; the first is the pivot and each later one
+    merges into it through the same (g, s, t) of `_gcdex`, its cleared row
+    going to the end of the pool; the pivot is scaled by `_unit_to_divisor`
+    of its entry and its saturation row (N/d) * pivot goes last.  Both
+    come from tables over Z/N (`_howell_tables`).  Each column puts back
+    at most as many rows as it takes out of the pool, so after a stable
+    sort of the nonzero rows to the front the pool keeps its m slots.  The
+    entries above the pivots are then reduced in reverse pivot order, which
+    is not canonical: the 5005/81 pin of pencil-5/Z6 depends on it.  Every
+    product stays below N^2, exact in int64 for N < 2^31.
+    """
+    P = np.asarray(G, dtype=np.int64) % N
+    B, m, n = P.shape
+    out = np.zeros((B, n, n), dtype=np.int64)
+    if m == 0:
+        return out
+    gst, unit = _howell_tables(N)
+    for c in range(n):
+        sel = P[:, :, c] != 0
+        if not sel.any():
+            continue
+        piv = np.zeros((B, n), dtype=np.int64)
+        has = np.zeros(B, dtype=bool)
+        cleared = np.zeros_like(P)
+        for j in np.flatnonzero(sel.any(0)).tolist():
+            act = sel[:, j]
+            merge = np.flatnonzero(act & has)
+            if merge.size:
+                x, y = piv[merge], P[merge, j]
+                a, b = x[:, c], y[:, c]
+                g, s, t = gst[:, a, b]
+                piv[merge] = (s[:, None] * x + t[:, None] * y) % N
+                cleared[merge, j] = ((a // g)[:, None] * y
+                                     - (b // g)[:, None] * x) % N
+            first = act & ~has
+            piv[first] = P[first, j]
+            has |= act
+        piv = unit[piv[:, c]][:, None] * piv % N
+        d = np.where(has, piv[:, c], N)
+        extra = (N // d)[:, None] * piv % N  # the saturation row
+        out[:, c] = piv
+        P[sel] = 0
+        P = np.concatenate((P, cleared, extra[:, None]), axis=1)
+        order = np.argsort(~P.any(2), axis=1, kind="stable")[:, :m]
+        P = np.take_along_axis(P, order[:, :, None], axis=1)
+    for c in reversed(range(n)):
+        d = out[:, c, c]
+        if not d.any():
+            continue
+        q = out[:, :c, c] // np.where(d > 0, d, 1)[:, None]
+        out[:, :c] = (out[:, :c] - q[:, :, None] * out[:, c, None, :]) % N
+    return out
+
+
+def _gcdex_arrays(a: np.ndarray, b: np.ndarray):
+    """`rings._gcdex` elementwise: (g, s, t) with s*a + t*b = g = gcd(a, b),
+    by the same recurrence, each pair frozen once its remainder is zero."""
+    r0, r1 = a.copy(), b.copy()
+    s0, s1 = np.ones_like(a), np.zeros_like(a)
+    t0, t1 = np.zeros_like(a), np.ones_like(a)
+    while True:
+        live = r1 != 0
+        if not live.any():
+            break
+        q = r0 // np.where(live, r1, 1)
+        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - q * r1, r1)
+        s0, s1 = np.where(live, s1, s0), np.where(live, s0 - q * s1, s1)
+        t0, t1 = np.where(live, t1, t0), np.where(live, t0 - q * t1, t1)
+    sign = np.where(r0 < 0, -1, 1)
+    return r0 * sign, s0 * sign, t0 * sign
+
+
+_HOWELL_TABLES: dict = {}
+
+
+def _howell_tables(N: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The (3, N, N) table of `_gcdex(a, b)` and the table of
+    `_unit_to_divisor(a, N)` over Z/N, built on first use for each N: its
+    3 N^2 entries are at most 3/N times the N^n weights that a Z/N scan of
+    n >= 3 points walks."""
+    if N not in _HOWELL_TABLES:
+        a, b = np.divmod(np.arange(N * N, dtype=np.int64), N)
+        gst = np.stack(_gcdex_arrays(a, b)).reshape(3, N, N)
+        unit = np.array([_unit_to_divisor(x, N) for x in range(N)],
+                        dtype=np.int64)
+        _HOWELL_TABLES[N] = gst, unit
+    return _HOWELL_TABLES[N]
 
 
 # the Smith replay multiplies entries by quotients no larger than them:
@@ -364,6 +469,7 @@ _BLOCK = 4096
 # benchmark's peak RSS from 43.4 to 47.0 MB
 _CHAIN_BLOCK = 256
 _TABLE_CACHE: dict = {}
+_RING_TABLES: dict = {}
 
 
 def _row_basis(A: np.ndarray, p: int) -> np.ndarray:
@@ -393,6 +499,13 @@ def _row_basis(A: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _ring_tables(ring: Ring):
+    """`ring.tables()`, (add, mul, neg, inv), built once per ring spec."""
+    if ring.spec not in _RING_TABLES:
+        _RING_TABLES[ring.spec] = ring.tables()
+    return _RING_TABLES[ring.spec]
+
+
 def _chain_tables_for(ring: Ring):
     """(add, mul, negmul, val, unit, shift, lead, k) for a finite field or
     Z/p^k, with negmul[a, b] = -(a * b).
@@ -404,7 +517,7 @@ def _chain_tables_for(ring: Ring):
     unit = inv, shift = [identity, zeros] and lead is the identity.
     """
     if ring.spec not in _TABLE_CACHE:
-        add, mul, neg, inv = ring.tables()
+        add, mul, neg, inv = _ring_tables(ring)
         elems = np.arange(add.shape[0])
         if isinstance(ring, IntegersModN):
             p, k = chain_params(ring)

@@ -414,8 +414,13 @@ def _cmd_scan(args) -> dict:
 
 
 def _text_scan(r) -> list:
+    # a field scan walks projective classes, a Z/N scan every nonzero tuple
+    if make_ring(r["ring"]).is_field:
+        counted = f"projective classes of {r['universe']}"
+    else:
+        counted = f"weights of {r['universe']} nonzero weights"
     out = [f"{r['matroid']} over {r['ring']}: {r['resonant_count']} resonant "
-           f"projective classes of {r['universe']} ({r['seconds']:.3f} s)"]
+           f"{counted} ({r['seconds']:.3f} s)"]
     for grp in r["groups"]:
         pts = " ".join(_compact(p) for p in grp["points"])
         out.append(f"  {_blocks_str(grp['graph'])}: {pts}")

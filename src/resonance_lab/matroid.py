@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from itertools import combinations
 from typing import Iterable, Sequence, Tuple
@@ -71,7 +71,9 @@ class Matroid:
         full = tuple(range(1, self.n + 1))
         return 2 if self.lines == (full,) else 3
 
-    @property
+    # the line lists are computed once per matroid: like `Graph.blocks`,
+    # they live in the instance dict, outside the fields that == and hash see
+    @cached_property
     def trivial_lines(self) -> Tuple[Tuple[int, int], ...]:
         covered = set()
         for L in self.lines:
@@ -79,7 +81,7 @@ class Matroid:
         return tuple(p for p in combinations(range(1, self.n + 1), 2)
                      if p not in covered)
 
-    @property
+    @cached_property
     def all_lines(self) -> Tuple[Tuple[int, ...], ...]:
         """X(m): nontrivial and trivial lines together, lexicographic."""
         return tuple(sorted(self.lines + self.trivial_lines))

@@ -14,11 +14,15 @@ the least p-adic valuation of lambda's coordinates (proof in
 on the exact path: over a field its dimension must equal the kernel
 nullity, over Z/N it must hold a partner that is not parallel to lambda.
 Over Z/N the reported weights go in chunks of `_SMITH_CHUNK` to
-`_kernels._smith_kernels`, which replays the integer Smith form of
-`kernel_modn` on the whole chunk in numpy and returns, weight for weight,
-the same Howell generators.  Every point's partner eta is then checked by
-evaluating a_lambda ∧ a_eta directly, and the same eta picks the point's
-graph.  All caps are explicit; RESONANCE_LAB_CAP overrides the default
+`_kernels._smith_kernels`, which replays the integer Smith form and the
+Howell form of `kernel_modn` on the whole chunk in numpy and returns,
+weight for weight, the same Howell generators; each weight's partner is
+the first of them with a nonzero 2x2 minor against lambda, picked for the
+chunk in one array pass.  Every point's partner eta is then checked by
+evaluating a_lambda ∧ a_eta directly, line by line over all points at
+once through the ring's tables, and the same eta picks the point's graph
+(`_group_by_graph`, which reads nothing of the Smith or Howell forms).
+All caps are explicit; RESONANCE_LAB_CAP overrides the default
 budget.  Range splitting is deterministic, so reports are identical for any
 worker count.
 """
@@ -31,7 +35,7 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from .graphs import Graph
 from .linegeom import Subspace, depth as geom_depth, span
 from .matroid import Matroid
 from .neighborly import CapExceeded, k_gamma, zgamma_rows
-from .osalg import dlambda_matrix, pair_graph, z_of
+from .osalg import dlambda_matrix, z_of
 from .osalg import is_resonant  # noqa: F401  perfbench/selftest.py reads oracle.is_resonant
 from .rings import (IntegersModN, Matrix, Ring, is_parallel, kernel_field,
                     prime_power_factors, rank_field)
@@ -149,19 +153,19 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
         raise CapExceeded(
             f"{ring.cardinality}**{m.n} weights exceed the budget {budget}")
     if ring.is_field:
-        found = _scan_resonance_field(m, ring, jobs)
+        points, etas = _scan_resonance_field(m, ring, jobs)
     elif isinstance(ring, IntegersModN):
-        found = _scan_resonance_modn(m, ring)
+        points, etas = _scan_resonance_modn(m, ring)
     else:
         raise ValueError(f"unsupported ring {ring.spec}")
-    groups = _group_by_graph(found, m, ring)
+    groups = _group_by_graph([p.lam for p in points], etas, m, ring)
     if ring.is_field:
         universe = _kernels.projective_total(ring.cardinality, m.n)
         workers = len(_split_ranges(universe, jobs))
     else:  # the Z/N kernel scans each factor ring in one call
         universe, workers = ring.cardinality ** m.n - 1, 1
-    return ScanReport(m.name, ring.spec, universe, tuple(p for p, _ in found),
-                      groups, time.perf_counter() - t0, budget, workers)
+    return ScanReport(m.name, ring.spec, universe, tuple(points), groups,
+                      time.perf_counter() - t0, budget, workers)
 
 
 def _dlambda_digit_map(m: Matroid, ring: Ring) -> Tuple[np.ndarray, int, int]:
@@ -172,25 +176,25 @@ def _dlambda_digit_map(m: Matroid, ring: Ring) -> Tuple[np.ndarray, int, int]:
 
 
 def _scan_resonance_field(m: Matroid, ring: Ring,
-                          jobs: int) -> List[Tuple[ScanPoint, tuple]]:
+                          jobs: int) -> Tuple[List[ScanPoint], List[tuple]]:
     L, nr, nc = _dlambda_digit_map(m, ring)
     total = _kernels.projective_total(ring.cardinality, m.n)
     nullities = _scan_all(L, ring, m.n, nr, nc, total, jobs)
     hits = np.flatnonzero(nullities >= 2)
     lams = _kernels.decode_candidates(hits, ring.cardinality, m.n).tolist()
-    out = []
+    points, etas = [], []
     for lam, d in zip(map(tuple, lams), nullities[hits].tolist()):
         zb = z_of(lam, m, ring)
         if len(zb) != d:
             raise ValueError(f"kernel nullity {d} of {lam} disagrees with "
                              f"dim Z = {len(zb)}")
-        eta = next(b for b in zb if not is_parallel(lam, b, ring))
-        out.append((ScanPoint(lam, dim_z=d), eta))
-    return out
+        points.append(ScanPoint(lam, dim_z=d))
+        etas.append(next(b for b in zb if not is_parallel(lam, b, ring)))
+    return points, etas
 
 
-def _scan_resonance_modn(m: Matroid,
-                         ring: IntegersModN) -> List[Tuple[ScanPoint, tuple]]:
+def _scan_resonance_modn(m: Matroid, ring: IntegersModN
+                         ) -> Tuple[List[ScanPoint], List[tuple]]:
     N, n = ring.n, m.n
     powers = np.arange(n - 1, -1, -1, dtype=np.int64)
     factors = [(p ** k, _resonant_mask(m, IntegersModN(p ** k)))
@@ -205,17 +209,27 @@ def _scan_resonance_modn(m: Matroid,
         hits.append(coords[hit])
     hits = np.concatenate(hits)
     L, nr, nc = _dlambda_digit_map(m, ring)
-    out = []
+    points, etas = [], []
     for lo in range(0, len(hits), _SMITH_CHUNK):
         chunk = hits[lo:lo + _SMITH_CHUNK]
         gens = _kernels._smith_kernels(L, ring, nr, nc, chunk)
-        for lam, zb in zip(map(tuple, chunk.tolist()), gens):
-            wit = next((g for g in zb if not is_parallel(lam, g, ring)), None)
-            if wit is None:
-                raise ValueError(f"the batched kernel calls {lam} resonant, "
-                                 f"which disagrees with its Howell generators")
-            out.append((ScanPoint(lam, witness=wit), wit))
-    return out
+        # every generator of the chunk in one array, with its weight's row
+        flat = [g for zb in gens for g in zb]
+        owner = np.repeat(np.arange(len(gens)), [len(zb) for zb in gens])
+        moving = _minors(chunk[owner], np.reshape(flat, (-1, n)),
+                         ring).any(1)
+        # the first generator of each weight with a nonzero minor
+        first = np.flatnonzero(moving)
+        owners, at = np.unique(owner[first], return_index=True)
+        if owners.size < len(gens):
+            b = np.setdiff1d(np.arange(len(gens)), owners)[0]
+            lam = tuple(chunk[b].tolist())
+            raise ValueError(f"the batched kernel calls {lam} resonant, "
+                             f"which disagrees with its Howell generators")
+        for lam, i in zip(map(tuple, chunk.tolist()), first[at].tolist()):
+            points.append(ScanPoint(lam, witness=flat[i]))
+            etas.append(flat[i])
+    return points, etas
 
 
 _WALK_BLOCK = 1024
@@ -246,16 +260,65 @@ def _resonant_mask(m: Matroid, ring: IntegersModN) -> np.ndarray:
     return z_len < (m.n - 1) * (k - _kernels._min_valuations(ring, m.n))
 
 
-def _group_by_graph(found: Sequence[Tuple[ScanPoint, tuple]], m: Matroid,
-                    ring: Ring) -> Tuple[Tuple[Graph, Tuple[tuple, ...]], ...]:
-    """Group points by the graph of their partner; `pair_graph` raises
-    unless a_lambda ∧ a_eta = 0 and eta is not parallel to lambda."""
-    by_graph: Dict[frozenset, Tuple[Graph, List[tuple]]] = {}
-    for p, eta in found:
-        g = pair_graph(p.lam, eta, m, ring)
-        by_graph.setdefault(g.edges, (g, []))[1].append(p.lam)
-    ordered = sorted(by_graph.values(), key=lambda t: repr(t[0]))
-    return tuple((g, tuple(pts)) for g, pts in ordered)
+def _minors(lam: np.ndarray, eta: np.ndarray, ring: Ring) -> np.ndarray:
+    """The 2x2 minors lam_i eta_j - lam_j eta_i, i < j in
+    `np.triu_indices` order, of each row pair of lam and eta (P, n), through
+    the ring's add/mul/neg tables."""
+    add, mul, neg = _kernels._ring_tables(ring)[:3]
+    lam = np.asarray(lam, dtype=add.dtype)
+    eta = np.asarray(eta, dtype=add.dtype)
+    i, j = np.triu_indices(lam.shape[1], 1)
+    return add[mul[lam[:, i], eta[:, j]], neg[mul[lam[:, j], eta[:, i]]]]
+
+
+def _group_by_graph(lams: Sequence, etas: Sequence, m: Matroid, ring: Ring
+                    ) -> Tuple[Tuple[Graph, Tuple[tuple, ...]], ...]:
+    """Group the points lams by the graph of their partners etas, the
+    edges (i, j) where the minor lam_i eta_j - lam_j eta_i vanishes.
+
+    One pass over all points through the ring's tables, for fields and Z/N
+    alike, reading nothing but lams and etas.  a_lambda ∧ a_eta is
+    evaluated line by line, lambda_X eta_k - lambda_k eta_X for k in X minus
+    its minimum, as `osalg.wedge_components` does; like `osalg.pair_graph`
+    it raises ValueError unless the wedge vanishes and eta is not parallel
+    to lambda (some minor is nonzero).  The points are grouped by their
+    packed edge sets, in report order, one `Graph` per group, and the
+    groups sorted by the graph's repr.
+    """
+    n = m.n
+    if not len(lams):
+        return ()
+    add, mul, neg = _kernels._ring_tables(ring)[:3]
+    # element codes in the tables' own dtype keep the gathers' operands small
+    lam = np.asarray(lams, dtype=add.dtype).reshape(-1, n)
+    eta = np.asarray(etas, dtype=add.dtype).reshape(-1, n)
+    wedge = np.zeros(len(lam), dtype=bool)
+    for X in m.all_lines:
+        cols = [i - 1 for i in X]
+        lam_X, eta_X = lam[:, cols[0]], eta[:, cols[0]]
+        for c in cols[1:]:
+            lam_X, eta_X = add[lam_X, lam[:, c]], add[eta_X, eta[:, c]]
+        for k in cols[1:]:
+            wedge |= add[mul[lam_X, eta[:, k]],
+                         neg[mul[lam[:, k], eta_X]]] != 0
+    vanish = _minors(lam, eta, ring) == 0
+    if (wedge | vanish.all(1)).any():
+        raise ValueError("pair is not resonant")
+    iu, ju = np.triu_indices(n, 1)
+    edges = list(zip((iu + 1).tolist(), (ju + 1).tolist()))
+    # a resonant pair's graph always picks up every trivial line
+    for t in m.trivial_lines:
+        assert vanish[:, edges.index(t)].all(), \
+            f"trivial line {t} missing from pair graph"
+    _, first, group = np.unique(np.packbits(vanish, axis=1), axis=0,
+                                return_index=True, return_inverse=True)
+    order = np.argsort(group.ravel(), kind="stable").tolist()
+    ends = np.cumsum(np.bincount(group.ravel())).tolist()
+    # the caller's own tuples: the report keeps no second copy of its points
+    out = [(Graph.from_edges(n, [edges[e] for e in np.flatnonzero(vanish[f])]),
+            tuple(lams[i] for i in order[lo:hi]))
+           for f, lo, hi in zip(first.tolist(), [0] + ends, ends)]
+    return tuple(sorted(out, key=lambda t: repr(t[0])))
 
 
 # ---------------------------------------------------------------------------

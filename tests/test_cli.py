@@ -48,6 +48,22 @@ def test_json_round_trip(capsys):
     assert json.loads(out)["dim_z"] == 3
 
 
+@pytest.mark.parametrize("spec,head", [
+    ("Z4", "braid-K4 over Z4: 975 resonant weights of 4095 nonzero weights"),
+    ("F3", "braid-K4 over F3: 20 resonant projective classes of 364")])
+def test_scan_text_counts_what_the_scan_walks(capsys, spec, head):
+    # a Z/N scan walks all N^n - 1 nonzero tuples, a field scan one
+    # representative per projective class
+    rc, out, _ = run(capsys, "scan", "--matroid", "braid-K4", "--ring", spec)
+    assert rc == 0
+    assert out.splitlines()[0].startswith(head + " (")
+    rc, out, _ = run(capsys, "scan", "--matroid", "braid-K4", "--ring", spec,
+                     "--format", "json")
+    rep = json.loads(out)
+    assert set(rep) == {"matroid", "ring", "universe", "resonant_count",
+                        "points", "groups", "seconds", "cap", "jobs", "verb"}
+
+
 def test_component_csv(capsys):
     rc, out, _ = run(capsys, "component", "--matroid", "braid-K4",
                      "--ring", "F5", "--graph", "12|34|56", "--format", "csv")

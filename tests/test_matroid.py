@@ -1,12 +1,14 @@
 """Fixture catalog, line derivation, and incidence matrices."""
 
 import json
+from itertools import combinations
 
 import pytest
 
-from resonance_lab.matroid import (catalog, catalog_names, format_line,
-                                   from_lines, incidence_matrix, line_of,
-                                   load_matroid, parse_points, point_label)
+from resonance_lab.matroid import (Matroid, catalog, catalog_names,
+                                   format_line, from_lines, incidence_matrix,
+                                   line_of, load_matroid, parse_points,
+                                   point_label)
 from resonance_lab.rings import make_ring, rank_field
 
 
@@ -98,3 +100,25 @@ def test_load_matroid_round_trip(tmp_path):
     p.write_text(json.dumps({"n": 3, "lines": [[1, 2, 3]], "name": "tiny"}))
     m = load_matroid(p)
     assert m.n == 3 and m.lines == ((1, 2, 3),) and m.name == "tiny"
+
+
+FIXTURES = [n for n in catalog_names() if not n.startswith("pencil-")]
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["pencil-5"])
+def test_cached_lines_equal_a_fresh_recomputation(name):
+    m = catalog(name)
+    fresh = Matroid(m.n, m.lines, m.name)  # nothing cached yet
+    before = hash(fresh)
+    covered = {p for L in m.lines for p in combinations(L, 2)}
+    trivial = tuple(p for p in combinations(range(1, m.n + 1), 2)
+                    if p not in covered)
+    for mat in (m, fresh):
+        assert mat.trivial_lines == trivial
+        assert mat.all_lines == tuple(sorted(m.lines + trivial))
+        # computed once: every later access returns the same object
+        assert mat.trivial_lines is mat.trivial_lines
+        assert mat.all_lines is mat.all_lines
+    assert hash(fresh) == before == hash(m)
+    assert fresh == m and fresh == Matroid(m.n, m.lines, m.name)
+    assert fresh != Matroid(m.n, m.lines, m.name + "'")
