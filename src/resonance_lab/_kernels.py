@@ -24,6 +24,18 @@ the system matrix, with the same rank.  The signature keeps the nominal
 `nrows` of `build_digit_map`; an empty basis means nullity `ncols`
 everywhere, with no elimination at all.
 
+Over F_{p^k} the field scan also eliminates only one candidate per orbit of
+the Frobenius sigma(x) = x^p.  Every system the scans build has its
+coefficients in F_p (d_lambda is integer-linear in lambda, and a component's
+K is the RREF kernel of a 0/1 matrix), so M(sigma lambda) = sigma(M(lambda))
+and both have the same rank.  `scan_nullities` checks this on the digit map
+once per call (L commutes with the k x k F_p matrix of sigma) and raises
+`ValueError` otherwise.  sigma maps a candidate with leading one to another
+(`_encode_candidates` numbers it, the inverse of `decode_candidates`); each
+candidate copies the nullity of the least index of its orbit at or after
+the window's start, so windows and split ranges stay exact.  Prime fields
+have sigma = 1 and eliminate every candidate.
+
 Fields and Z/p^k are both finite chain rings: every nonzero element is a
 unit times p^v, and a field is the case k = 1 with maximal ideal 0.  One
 elimination, `_block_length`, serves both: it walks the columns once,
@@ -176,10 +188,24 @@ def decode_candidates(gs: np.ndarray, q: int, dim: int) -> np.ndarray:
     offs[i] = q^(dim-1) + ... + q^(dim-i) counts the candidates that lead
     at an earlier position: the tuples that lead at i are exactly those
     numbered q^(dim-1-i) .. 2 q^(dim-1-i) - 1 in product order."""
-    place = q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-    offs = np.concatenate(([0], np.cumsum(place)))
+    place, offs = _projective_offsets(q, dim)
     lead = np.searchsorted(offs, gs, side="right") - 1
     return _product_digits(gs - offs[lead] + place[lead], q, dim)
+
+
+def _encode_candidates(coords: np.ndarray, q: int, dim: int) -> np.ndarray:
+    """Candidate numbers of the projective points coords (first nonzero
+    coordinate one), the inverse of `decode_candidates`."""
+    place, offs = _projective_offsets(q, dim)
+    lead = (coords != 0).argmax(1)
+    return coords @ place - place[lead] + offs[lead]
+
+
+def _projective_offsets(q: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """place[i] = q^(dim-1-i), the product-order weight of coordinate i,
+    and offs[i], the number of candidates that lead before position i."""
+    place = q ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    return place, np.concatenate(([0], np.cumsum(place)))
 
 
 def _projective_walk(q: int, dim: int):
@@ -209,9 +235,31 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
     entries, so at every candidate the basis rows span the same F_q row
     space as the system matrix and the nullity is unchanged.  An empty
     basis gives nullity `ncols` for every candidate without any block.
+
+    Over F_q = F_{p^k} only one candidate per Frobenius orbit is
+    eliminated.  Let sigma(x) = x^p act on each coordinate, and Phi be the
+    k x k F_p matrix of sigma on one coordinate's digits.  The block of L
+    for an entry e and a basis vector i is the F_p matrix of the linear map
+    a -> M(a b_i)[e]; if every such block commutes with Phi (mod p), then
+    M(sigma lambda) = sigma(M(lambda)) entry by entry, and since sigma is a
+    field automorphism, rank M(sigma lambda) = rank M(lambda).  The check
+    runs once per call and raises `ValueError` when it fails.  It holds for
+    every caller: d_lambda is integer-linear in lambda, and a component
+    system is integer-linear in lambda = sum c_i K_i projected onto the
+    rows K_i of `k_gamma`, whose entries lie in F_p, so every entry is
+    c -> c * (an element of F_p) and F_p is fixed by sigma.  sigma keeps a
+    leading one a leading one at the same position, so it permutes the
+    candidates.  Each candidate g takes as representative the least index
+    >= start of its orbit g, sigma g, ..., sigma^(k-1) g; that index is at
+    most g, so its nullity is known by the time g's block fills in.  Only
+    the candidates that are their own representative are eliminated, and
+    orbit members before `start` do not count, so any window is exact on
+    its own.  Over a prime field sigma is the identity and every candidate
+    is its own representative.
     """
     p, kext, q = field_params(ring)
     width = L.shape[1]
+    frob = _frobenius(L, ring, dim)
     rows = _row_basis(L.reshape(nrows, ncols * kext * width), p)
     nrows = rows.shape[0]
     if nrows == 0:
@@ -228,17 +276,48 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
     out = np.zeros(stop - start, dtype=np.uint8)
     for lo in range(start, stop, _BLOCK):
         hi = min(lo + _BLOCK, stop)
-        B = hi - lo
-        coords = decode_candidates(np.arange(lo, hi, dtype=np.int64), q, dim)
-        digits = ((coords[:, :, None] // pw) % p).reshape(B, dim * kext)
+        gs = np.arange(lo, hi, dtype=np.int64)
+        coords = decode_candidates(gs, q, dim)
+        rep, image = gs, coords
+        for _ in range(kext - 1):
+            image = frob[image]
+            g = _encode_candidates(image, q, dim)
+            rep = np.where((g >= start) & (g < rep), g, rep)
+        own = np.flatnonzero(rep == gs)
+        B = own.size
+        digits = ((coords[own, :, None] // pw) % p).reshape(B, dim * kext)
         mdig = ((digits.astype(np.float64) @ Lt).astype(dt) % p).astype(
             tdt, copy=False).reshape(B, nrows * ncols, kext)
         mats = mdig[:, :, 0].copy()
         for t in range(1, kext):
             mats += mdig[:, :, t] * (p ** t)
         mats = mats.reshape(B, nrows, ncols)
-        out[lo - start:hi - start] = ncols - _block_length(mats, *tables)
+        out[lo - start + own] = ncols - _block_length(mats, *tables)
+        out[lo - start:hi - start] = out[rep - start]
     return out
+
+
+def _frobenius(L: np.ndarray, ring: Ring, dim: int) -> np.ndarray:
+    """The table of x -> x^p on F_q, once the digit map L of `dim` basis
+    vectors is checked to commute with it: L . Phi = Phi . L (mod p) on
+    every (entry, basis vector) block of k x k digits, with Phi[t_out,
+    t_in] the digit t_out of sigma(x^t_in).  Raises `ValueError` if not."""
+    p, kext, q = field_params(ring)
+    mul = _chain_tables_for(ring)[1]
+    elems = np.arange(q, dtype=np.int64)
+    frob = elems
+    for _ in range(p - 1):
+        frob = mul[frob, elems].astype(np.int64)
+    if kext > 1:
+        pw = p ** np.arange(kext, dtype=np.int64)
+        phi = frob[pw][None, :] // pw[:, None] % p
+        blocks = L.reshape(-1, kext, dim * kext)  # (entry, t_out, (i, t_in))
+        left = (blocks.reshape(-1, kext) @ phi).reshape(blocks.shape)
+        if ((left - phi @ blocks) % p).any():
+            raise ValueError(
+                f"the digit map does not commute with the Frobenius of "
+                f"F_{q}: its coefficients are not all in F_{p}")
+    return frob
 
 
 def scan_lengths(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,

@@ -77,6 +77,11 @@ def k_gamma(graph: Graph, m: Matroid, ring: Ring):
     the Hessian with 123|456|789|αβγ over F3 has dim K = 6).  Every resonant
     weight does lie in that hyperplane, so a component's carrier can be a
     proper subset of P(K).
+
+    Over F_{p^k} every entry of the basis lies in F_p (its encoding is
+    below p): it is the RREF kernel of a 0/1 matrix, which row reduction
+    over F_p already reaches.  `_kernels.scan_nullities` relies on this
+    through the component map of `scan_component`, and checks it.
     """
     xg = graph.x_gamma(m)
     if ring.is_field:

@@ -35,6 +35,9 @@ def test_decode_candidate_enumerates_projective_space():
         picks = np.random.default_rng(q * dim).integers(0, total, size=50)
         assert [tuple(r) for r in _kernels.decode_candidates(
             picks, q, dim).tolist()] == [points[g] for g in picks]
+        # and the encoder numbers every point back
+        assert np.array_equal(_kernels._encode_candidates(got, q, dim),
+                              np.arange(total))
 
 
 def _candidates(q, dim):
@@ -101,7 +104,9 @@ def _full_scan(m, ring):
     return _kernels.scan_nullities(L, ring, m.n, nr, nc, 0, total)
 
 
-@pytest.mark.parametrize("name,spec", [("nonfano", "F3"), ("pencil-4", "F9")])
+# pencil-4 over F8 and F16 has Frobenius orbits of sizes 3 and 4 (and 2)
+@pytest.mark.parametrize("name,spec", [("nonfano", "F3"), ("pencil-4", "F9"),
+                                       ("pencil-4", "F8"), ("pencil-4", "F16")])
 def test_scan_matches_rank_field_on_every_candidate(name, spec):
     m, ring = catalog(name), make_ring(spec)
     nul = _full_scan(m, ring)

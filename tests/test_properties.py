@@ -240,8 +240,9 @@ def test_witness_pair_graphs_are_neighborly_mod_n():
 @pytest.mark.parametrize("m,spec", [
     (BRAID, "F2"), (BRAID, "F3"), (NONFANO, "F2"),
     (PENCIL3, "F2"), (PENCIL3, "F3"), (catalog("pencil-4"), "F2"),
+    (BRAID, "F8"), (NONFANO, "F4"),
 ], ids=["braid-F2", "braid-F3", "nonfano-F2",
-        "pencil3-F2", "pencil3-F3", "pencil4-F2"])
+        "pencil3-F2", "pencil3-F3", "pencil4-F2", "braid-F8", "nonfano-F4"])
 def test_scan_equals_union_of_components(m, spec):
     report = decomposition_check(m, make_ring(spec))
     assert report.equal, (report.missing, report.extra)
