@@ -24,6 +24,24 @@ the system matrix, with the same rank.  The signature keeps the nominal
 `nrows` of `build_digit_map`; an empty basis means nullity `ncols`
 everywhere, with no elimination at all.
 
+Every candidate lies in the kernel of its own system, so every nullity is
+at least 1: d_lambda lambda = 0 because a_lambda ^ a_lambda = 0, and a
+component's system at c = (c_i) is M_K(c) = rows(lambda) K^T with lambda =
+sum c_i K_i, so M_K(c) c = rows(lambda) lambda = 0 as lambda lies in
+Z_Gamma(lambda).  `scan_nullities` checks this once per call on its basis
+rows (`_check_self_kernel`) and raises `ValueError` otherwise.  Almost no
+candidate is resonant, so the scan certifies nullity 1 on a sketch first:
+S M(lambda), with S a fixed r1 x R matrix over F_p and r1 = C - 1 + e a
+few rows more than a nullity-1 system of C columns needs (a random
+combination of the rows keeps the rank of such a system with high
+probability; Cheung, Kwok & Lau, "Fast matrix rank algorithms and
+applications", J. ACM 60(5), 2013).  The rows of S M(lambda) are
+combinations of those of M(lambda), so nullity(S M) >= nullity(M) >= 1
+and a sketch nullity of 1 proves nullity 1; only the candidates whose
+sketch nullity is at least 2 are eliminated again on the full basis.  The
+nullities are therefore the same for every S, and S changes only how many
+candidates take the second stage.
+
 Over F_{p^k} the field scan also eliminates only one candidate per orbit of
 the Frobenius sigma(x) = x^p.  Every system the scans build has its
 coefficients in F_p (d_lambda is integer-linear in lambda, and a component's
@@ -76,6 +94,7 @@ remainder theorem; the caller scans each factor and joins the answers.
 
 from __future__ import annotations
 
+import random
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -236,6 +255,26 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
     space as the system matrix and the nullity is unchanged.  An empty
     basis gives nullity `ncols` for every candidate without any block.
 
+    Every candidate lies in the kernel of its own system, M(lambda) lambda
+    = 0, so its nullity is at least 1.  This holds for both callers:
+    d_lambda lambda = 0 because a_lambda ^ a_lambda = 0, and a component
+    system at c is M_K(c) = rows(lambda) K^T with lambda = sum c_i K_i, so
+    M_K(c) c = rows(lambda) lambda = 0 as lambda lies in Z_Gamma(lambda).
+    That premise is checked once per call on the basis rows
+    (`_check_self_kernel`), and the elimination runs in two stages.  With
+    R basis rows and r1 = ncols - 1 + e < R rows (e = 3 over F2, 2 over F3
+    and F4, 1 otherwise), a fixed r1 x R matrix S over F_p, drawn from
+    `random.Random(0)`, gives the sketch S M(lambda): S has F_p entries,
+    so S times the basis rows is again a digit map.
+    Every candidate is eliminated on the sketch, and only those whose
+    sketch nullity is at least 2 again on the full basis.  This is exact
+    for every S: the rows of S M(lambda) are combinations of those of
+    M(lambda), so nullity(S M(lambda)) >= nullity(M(lambda)) >= 1, and a
+    sketch nullity of 1 proves nullity 1.  S changes only how many
+    candidates reach the second stage (almost none are resonant).  A sketch
+    nullity of 0 would contradict the premise and raises `ValueError`.
+    When r1 >= R the full basis is eliminated once.
+
     Over F_q = F_{p^k} only one candidate per Frobenius orbit is
     eliminated.  Let sigma(x) = x^p act on each coordinate, and Phi be the
     k x k F_p matrix of sigma on one coordinate's digits.  The block of L
@@ -247,15 +286,16 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
     every caller: d_lambda is integer-linear in lambda, and a component
     system is integer-linear in lambda = sum c_i K_i projected onto the
     rows K_i of `k_gamma`, whose entries lie in F_p, so every entry is
-    c -> c * (an element of F_p) and F_p is fixed by sigma.  sigma keeps a
-    leading one a leading one at the same position, so it permutes the
-    candidates.  Each candidate g takes as representative the least index
-    >= start of its orbit g, sigma g, ..., sigma^(k-1) g; that index is at
-    most g, so its nullity is known by the time g's block fills in.  Only
-    the candidates that are their own representative are eliminated, and
-    orbit members before `start` do not count, so any window is exact on
-    its own.  Over a prime field sigma is the identity and every candidate
-    is its own representative.
+    c -> c * (an element of F_p) and F_p is fixed by sigma.  The sketch
+    keeps this, as S has F_p entries.  sigma keeps a leading one a leading
+    one at the same position, so it permutes the candidates.  Each
+    candidate g takes as representative the least index >= start of its
+    orbit g, sigma g, ..., sigma^(k-1) g; that index is at most g, so its
+    nullity is known by the time g's block fills in.  Only the candidates
+    that are their own representative are eliminated, and orbit members
+    before `start` do not count, so any window is exact on its own.  Over
+    a prime field sigma is the identity and every candidate is its own
+    representative.
     """
     p, kext, q = field_params(ring)
     width = L.shape[1]
@@ -264,15 +304,37 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
     nrows = rows.shape[0]
     if nrows == 0:
         return np.full(stop - start, ncols, dtype=np.uint8)
-    L = rows.reshape(nrows * ncols * kext, width)
+    _check_self_kernel(rows, ring, dim, ncols)
+    r1 = ncols - 1 + (3 if q == 2 else 2 if q <= 4 else 1)
+    sketched = r1 < nrows
+    if sketched:
+        rng = random.Random(0)
+        S = np.array([[rng.randrange(p) for _ in range(nrows)]
+                      for _ in range(r1)], dtype=np.int64)
+        first = S @ rows % p
+    else:
+        first = rows
     tables = _chain_tables_for(ring)
     tdt = tables[0].dtype
     pw = p ** np.arange(kext, dtype=np.int64)
     # float64 matmuls run in BLAS and stay exact: an entry of the product is
     # a sum of dim * kext digit products, each at most (p - 1)**2, far from
     # 2**53; the narrowest integer type holding that bound takes the % p
-    Lt = L.T.astype(np.float64)
     dt = np.min_scalar_type((p - 1) ** 2 * dim * kext)
+
+    def systems(digits, Lt):
+        """The (B, rows, ncols) systems over F_q of the candidates whose
+        base-p digits are the rows of `digits`, through the digit map Lt."""
+        B, R = digits.shape[0], Lt.shape[1] // (ncols * kext)
+        mdig = ((digits @ Lt).astype(dt) % p).astype(
+            tdt, copy=False).reshape(B, R * ncols, kext)
+        mats = mdig[:, :, 0].copy()
+        for t in range(1, kext):
+            mats += mdig[:, :, t] * (p ** t)
+        return mats.reshape(B, R, ncols)
+
+    Lt1, Lt = (r.reshape(-1, width).T.astype(np.float64)
+               for r in (first, rows))
     out = np.zeros(stop - start, dtype=np.uint8)
     for lo in range(start, stop, _BLOCK):
         hi = min(lo + _BLOCK, stop)
@@ -284,17 +346,51 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
             g = _encode_candidates(image, q, dim)
             rep = np.where((g >= start) & (g < rep), g, rep)
         own = np.flatnonzero(rep == gs)
-        B = own.size
-        digits = ((coords[own, :, None] // pw) % p).reshape(B, dim * kext)
-        mdig = ((digits.astype(np.float64) @ Lt).astype(dt) % p).astype(
-            tdt, copy=False).reshape(B, nrows * ncols, kext)
-        mats = mdig[:, :, 0].copy()
-        for t in range(1, kext):
-            mats += mdig[:, :, t] * (p ** t)
-        mats = mats.reshape(B, nrows, ncols)
-        out[lo - start + own] = ncols - _block_length(mats, *tables)
+        digits = ((coords[own, :, None] // pw) % p).reshape(
+            own.size, dim * kext).astype(np.float64)
+        nul = ncols - _block_length(systems(digits, Lt1), *tables)
+        if not nul.all():
+            raise ValueError("a candidate is missing from the kernel of its "
+                             "own system")
+        if sketched:
+            redo = np.flatnonzero(nul >= 2)
+            if redo.size:
+                nul[redo] = ncols - _block_length(
+                    systems(digits[redo], Lt), *tables)
+        out[lo - start + own] = nul
         out[lo - start:hi - start] = out[rep - start]
     return out
+
+
+def _check_self_kernel(rows: np.ndarray, ring: Ring, dim: int,
+                       ncols: int) -> None:
+    """Raise `ValueError` unless M(lambda) lambda = 0 for every candidate
+    lambda, where M is the system whose F_p basis rows are `rows`.
+
+    With digits d_u of lambda = sum d_u eps_u (u = (i, t), eps_u = x^t at
+    coordinate i), M(lambda) lambda = sum_{u, v} d_u d_v B(u, v) with
+    B(u, v) = M(eps_u) eps_v, an F_p-quadratic form in the digits.  Every
+    coefficient of a polynomial of degree below p in each variable is read
+    off its values on F_p (over F_2, d^2 = d and the form is multilinear),
+    so the form vanishes identically iff B(u, u) = 0 and B(u, v) + B(v, u)
+    = 0 for u < v.  Checking the basis rows suffices: they span the
+    system's rows over F_p, and each is a combination of them."""
+    if ncols != dim:
+        raise ValueError(f"a system with {ncols} columns cannot have its "
+                         f"{dim}-coordinate candidate in its kernel")
+    p, kext, _ = field_params(ring)
+    add, mul = _chain_tables_for(ring)[:2]
+    width = dim * kext
+    pw = p ** np.arange(kext, dtype=np.int64)
+    # entries[row, u, j]: M(eps_u)[row, j] as an element of F_q
+    entries = (rows.reshape(-1, ncols, kext, width)
+               * pw[:, None]).sum(2).transpose(0, 2, 1)
+    # B[row, u, v] with v = (j, s): M(eps_u)[row, j] x^s
+    B = mul[entries[..., None], pw].reshape(-1, width, width)
+    diag = np.arange(width)
+    if B[:, diag, diag].any() or add[B, B.transpose(0, 2, 1)].any():
+        raise ValueError("the system does not have each candidate in its "
+                         "own kernel: M(lambda) lambda is not zero")
 
 
 def _frobenius(L: np.ndarray, ring: Ring, dim: int) -> np.ndarray:

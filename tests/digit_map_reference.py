@@ -8,7 +8,8 @@ Python loop.  They share nothing with the table product of
 beyond the exact row builder `zgamma_rows`, so the scans' maps can be held
 to them entry for entry.  `projective_points` lists the projective
 candidates with `itertools`, independently of the index arithmetic of
-`_kernels.decode_candidates`.
+`_kernels.decode_candidates`, and `frobenius_image` applies x -> x^p in
+`Ring` arithmetic, independently of the kernel's Frobenius table.
 """
 
 import itertools
@@ -76,3 +77,14 @@ def projective_points(q, dim) -> List[tuple]:
     coordinates after it."""
     return [(0,) * lead + (1,) + rest for lead in range(dim)
             for rest in itertools.product(range(q), repeat=dim - 1 - lead)]
+
+
+def frobenius_image(v, ring) -> tuple:
+    """v with every coordinate raised to the p-th power in Ring arithmetic."""
+    out = []
+    for x in v:
+        y = ring.one
+        for _ in range(ring.p):
+            y = ring.mul(y, x)
+        out.append(y)
+    return tuple(out)

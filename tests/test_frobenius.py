@@ -11,6 +11,7 @@ full scan.
 import numpy as np
 import pytest
 
+import digit_map_reference as ref
 from resonance_lab import _kernels, oracle
 from resonance_lab.graphs import parse_graph
 from resonance_lab.matroid import catalog
@@ -25,17 +26,6 @@ def _scan(L, ring, dim, nr, nc, windows):
                            for lo, hi in windows])
 
 
-def _frobenius_image(v, ring):
-    """v with every coordinate raised to the p-th power in Ring arithmetic."""
-    out = []
-    for x in v:
-        y = ring.one
-        for _ in range(ring.p):
-            y = ring.mul(y, x)
-        out.append(y)
-    return tuple(out)
-
-
 def _orbit_starts(ring, dim, total):
     """Candidates whose sigma-image has a smaller index: a window starting
     at one of them starts inside an orbit.  Found in Ring arithmetic."""
@@ -43,7 +33,7 @@ def _orbit_starts(ring, dim, total):
                                         ring.cardinality, dim).tolist()
     index = {tuple(v): g for g, v in enumerate(points)}
     return [g for g, v in enumerate(points)
-            if index[_frobenius_image(v, ring)] < g]
+            if index[ref.frobenius_image(v, ring)] < g]
 
 
 @pytest.mark.parametrize("name,spec", [

@@ -1,8 +1,12 @@
-"""Every name a module of the package imports is used in that module, and
-every name it exports exists."""
+"""Every name a module of the package imports is used in that module,
+every name it exports exists, and a field scan imports no more of numpy
+than it needs."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "resonance_lab"
@@ -55,3 +59,18 @@ def test_every_export_resolves():
         if stale:
             missing[name] = stale
     assert missing == {}
+
+
+def test_a_field_scan_leaves_numpy_random_unimported():
+    # the field kernel draws its sketch from the stdlib `random`: importing
+    # numpy.random would add about 6 MB to every process that scans
+    code = ("import sys\n"
+            "import resonance_lab as rl\n"
+            "rl.scan_resonance(rl.catalog('braid-K4'), rl.make_ring('F4'))\n"
+            "print('numpy.random' in sys.modules)\n")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"

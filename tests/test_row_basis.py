@@ -134,27 +134,50 @@ def test_braid_k4_component_with_only_zero_rows():
 
 def test_block_rank_sees_only_the_basis_rows(monkeypatch):
     # the compression is invisible to every nullity, so record what the
-    # elimination receives
-    shapes = []
+    # elimination receives and what it returns
+    calls = []
     block_length = _kernels._block_length
 
     def recording(M, *tables):
-        shapes.append(M.shape)
-        return block_length(M, *tables)
+        lengths = block_length(M, *tables)
+        calls.append((M.shape, lengths))
+        return lengths
 
     monkeypatch.setattr(_kernels, "_block_length", recording)
     _, _, ring, kb, L, nr, nc = _component_map(HESSIAN_GRAPH, "hessian", "F9")
-    _full_scan(kb, ring, L, nr, nc)
-    assert shapes and {s[1:] for s in shapes} == {(9, 6)}
-    # one candidate per Frobenius orbit: by Burnside, the orbits of the
-    # group {1, sigma} on P^5(F9) number (|P^5(F9)| + |P^5(F3)|) / 2
-    assert sum(s[0] for s in shapes) == (
+    nul = _full_scan(kb, ring, L, nr, nc)
+    # 9 basis rows, and a sketch of r1 = ncols - 1 + 1 = 6 of them over F9
+    assert {s[1:] for s, _ in calls} == {(6, 6), (9, 6)}
+    # the sketch eliminates one candidate per Frobenius orbit: by Burnside,
+    # the orbits of the group {1, sigma} on P^5(F9) number
+    # (|P^5(F9)| + |P^5(F3)|) / 2
+    assert sum(s[0] for s, _ in calls if s[1] == 6) == 33397 == (
         _kernels.projective_total(9, len(kb))
         + _kernels.projective_total(3, len(kb))) // 2
-    shapes.clear()
+    # each block's full-basis call follows its sketch call and takes exactly
+    # the candidates the sketch did not certify (sketch nullity >= 2)
+    redo = []
+    for (shape, ls), (later, full) in zip(calls, calls[1:] + [((0, 0), 0)]):
+        if shape[1] == 6:
+            uncertified = int((nc - ls >= 2).sum())
+            assert (later[1] == 9) == (uncertified > 0)
+            if uncertified:
+                assert later[0] == uncertified
+                redo.append(nc - full)
+    redo = np.concatenate(redo)
+    # and every resonant orbit representative is among them: an orbit's
+    # representative is its least index, found in Ring arithmetic
+    resonant = np.flatnonzero(nul >= 2)
+    points = [tuple(v) for v in _kernels.decode_candidates(
+        resonant, 9, len(kb)).tolist()]
+    index = dict(zip(points, resonant.tolist()))
+    reps = [g for v, g in index.items()
+            if index[ref.frobenius_image(v, ring)] >= g]
+    assert int((redo >= 2).sum()) == len(reps) < redo.size
+    calls.clear()
     _, _, ring, kb, L, nr, nc = _component_map("12|34|56", "braid-K4", "F3")
     _full_scan(kb, ring, L, nr, nc)
-    assert shapes == []
+    assert calls == []
 
 
 def test_regulus_check_is_capped(monkeypatch):
