@@ -13,7 +13,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ._kernels import _projective_walk, projective_total
+import numpy as np
+
+from ._kernels import _projective_walk, projective_canon, projective_total
 from .graphs import Graph, is_neighborly
 from .matroid import Matroid, incidence_matrix
 from .osalg import _line_rows, _minor_graph, z_of
@@ -551,6 +553,42 @@ def decomposition_check(m: Matroid, ring: Ring,
 
     Also checks monotonicity on every enumerated comparable pair: fewer
     edges together with a smaller x_gamma can only grow the component.
+
+    The graphs are visited in enumeration order, and each gets its carrier
+    (the canonical points of V(Gamma)) in one of three ways:
+
+    - the one-block (complete) graph has an empty carrier, with no scan;
+    - if a matroid automorphism pi maps an already scanned representative
+      Gamma_0 onto Gamma (pi(E(Gamma_0)) = E(Gamma)), the carrier of Gamma
+      is {canon(pi.lam) : lam in carrier(Gamma_0)}, where
+      (pi.lam)_{pi(i)} = lam_i and canon scales the first nonzero
+      coordinate to one;
+    - otherwise `scan_component` scans it, and it becomes a representative.
+
+    Why the one-block graph is empty: its edges are all pairs, so Z_Gamma's
+    rows contain every 2x2 minor functional lam_i eta_j - lam_j eta_i.
+    Over a field their common kernel at lam != 0 is the line through lam,
+    so dim Z_Gamma(lam) <= 1 and no weight reaches the carrier's dim >= 2.
+
+    Why carrying is exact: pi permutes the points and maps lines onto
+    lines, and pi.(-) permutes coordinates.  A line X is a clique of Gamma
+    iff pi(X) is a clique of pi(Gamma), so x_{pi Gamma} = pi(x_Gamma).  The
+    line sum of pi.lam over pi(X) is the line sum of lam over X, hence
+    K_{pi Gamma} = pi.K_Gamma.  The rows of Z_Gamma(lam) are the line
+    equations lam_X eta_k - lam_k eta_X (k in X, X in x_Gamma), the minors
+    on the edges and the line sums of x_Gamma; the same rows for pi.lam,
+    pi.eta, pi(X), pi(k) and pi(E) take the same values (a minor up to
+    sign), so Z_{pi Gamma}(pi.lam) = pi.Z_Gamma(lam), of equal dimension,
+    and V(pi Gamma) = pi.V(Gamma).  Scalars commute with coordinate
+    permutations, pi.(c lam) = c pi.lam, so canon(pi.lam) is the canonical
+    point of the image class, and carried carriers equal scanned ones
+    point for point.  Caps are unchanged: the full scan is charged
+    first, and a component with dim K <= n never exceeds a cap that q^n
+    passed.
+
+    Aut(M) is never enumerated (pencils have n! automorphisms): a
+    backtracking search looks for one pi per pair of graphs, and only
+    between graphs with equal block sizes, cone count and |x_Gamma|.
     """
     from .oracle import scan_component, scan_resonance  # deferred, cli-level cycle
     if not ring.is_field or ring.cardinality is None:
@@ -558,18 +596,34 @@ def decomposition_check(m: Matroid, ring: Ring,
     scan = scan_resonance(m, ring, cap=cap)
     scanned = {p.lam for p in scan.points}
     graphs = enumerate_neighborly(m, ring, partitions_only=True)
+    xs = {g: frozenset(g.x_gamma(m)) for g in graphs}
+    sizes = _pair_line_sizes(m)
+    reps: Dict[tuple, List[Tuple[Graph, np.ndarray]]] = {}
     union: set = set()
     pts: Dict[Graph, set] = {}
     per_graph = []
     for g in graphs:
-        comp = scan_component(g, m, ring, cap=cap)
-        pset = {lam for lam, _ in comp.points}
+        if len(g.edges) == m.n * (m.n - 1) // 2:
+            pset = set()
+        else:
+            key = (tuple(sorted(map(len, g.blocks))), len(g.cone_vertices),
+                   len(xs[g]))
+            for g0, carrier in reps.get(key, ()):
+                pi = next(_automorphisms_onto(m, sizes, g0, g), None)
+                if pi is not None:
+                    pset = _carry(carrier, pi, ring)
+                    break
+            else:
+                comp = scan_component(g, m, ring, cap=cap)
+                pset = set(comp.carrier)
+                carrier = np.array(comp.carrier, dtype=np.int64).reshape(-1, m.n)
+                reps.setdefault(key, []).append((g, carrier))
         pts[g] = pset
         union |= pset
         per_graph.append((g, len(pset)))
     violations = []
     for g1, g2 in itertools.permutations(graphs, 2):
-        if g1.edges <= g2.edges and set(g1.x_gamma(m)) <= set(g2.x_gamma(m)):
+        if g1.edges <= g2.edges and xs[g1] <= xs[g2]:
             if not pts[g2] <= pts[g1]:
                 violations.append((g1, g2))
     missing = tuple(sorted(scanned - union))
@@ -578,3 +632,62 @@ def decomposition_check(m: Matroid, ring: Ring,
         m.name, ring.spec, len(scanned), len(union),
         not missing and not extra, missing, extra,
         tuple(per_graph), not violations, tuple(violations))
+
+
+def _carry(carrier: np.ndarray, pi: Tuple[int, ...], ring: Ring) -> set:
+    """{canon(pi.lam) : lam a row of carrier}, (pi.lam)_{pi(i)} = lam_i."""
+    moved = np.empty_like(carrier)
+    moved[:, np.asarray(pi) - 1] = carrier
+    return set(map(tuple, projective_canon(moved, ring).tolist()))
+
+
+def _pair_line_sizes(m: Matroid) -> List[List[int]]:
+    """sizes[i][j]: the number of points on the line through i and j (2 for
+    a trivial line), 1-indexed."""
+    sizes = [[2] * (m.n + 1) for _ in range(m.n + 1)]
+    for X in m.lines:
+        for i, j in itertools.permutations(X, 2):
+            sizes[i][j] = len(X)
+    return sizes
+
+
+def _automorphisms_onto(m: Matroid, sizes: List[List[int]], g0: Graph,
+                        g: Graph) -> Iterator[Tuple[int, ...]]:
+    """Matroid automorphisms pi with pi(E(g0)) = E(g), lazily, as tuples
+    with pi(i) = t[i - 1].
+
+    Points are mapped in order 1..n, and a branch is cut unless it keeps
+    the size of the line through each mapped pair, edge versus non-edge,
+    and each point's degree and line sizes.  A complete map is yielded only
+    after it is checked outright: lines onto lines, edges onto edges.
+    """
+    n = m.n
+    adj0 = [[False] * (n + 1) for _ in range(n + 1)]
+    adj1 = [[False] * (n + 1) for _ in range(n + 1)]
+    for adj, graph in ((adj0, g0), (adj1, g)):
+        for i, j in graph.edges:
+            adj[i][j] = adj[j][i] = True
+    key0 = [(sum(adj0[v]), sorted(sizes[v])) for v in range(n + 1)]
+    key1 = [(sum(adj1[v]), sorted(sizes[v])) for v in range(n + 1)]
+    lines = set(m.lines)
+    pi = [0] * (n + 1)
+    used = [False] * (n + 1)
+
+    def extend(v: int) -> Iterator[Tuple[int, ...]]:
+        if v > n:
+            if ({tuple(sorted(pi[i] for i in X)) for X in m.lines} == lines
+                    and {tuple(sorted((pi[i], pi[j]))) for i, j in g0.edges}
+                    == g.edges):
+                yield tuple(pi[1:])
+            return
+        for w in range(1, n + 1):
+            if used[w] or key0[v] != key1[w]:
+                continue
+            if all(sizes[u][v] == sizes[pi[u]][w]
+                   and adj0[u][v] == adj1[pi[u]][w] for u in range(1, v)):
+                pi[v], used[w] = w, True
+                yield from extend(v + 1)
+                used[w] = False
+
+    if sorted(key0[1:]) == sorted(key1[1:]):
+        yield from extend(1)
