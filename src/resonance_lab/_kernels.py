@@ -13,34 +13,25 @@ these sizes) and one elimination of the whole (B, R, C) block at once,
 whose steps are numpy operations on all B matrices with ring arithmetic
 through add/mul lookup tables plus negmul = -(a*b).
 
-Over a field many rows of the system matrix carry nothing: as linear
-functions of the digits they vanish or repeat others (the Hessian component
-over F9 has 48 rows whose span has dimension 9 over F3).  `scan_nullities`
-therefore first reshapes each row's block of L to one vector and keeps an
-F_p echelon basis of those vectors (`_row_basis`).  This is exact: F_p lies
-in F_q, and an F_p combination of digit vectors is the same combination of
-the F_q entries, so at every candidate the basis rows span the row space of
-the system matrix, with the same rank.  The signature keeps the nominal
-`nrows` of `build_digit_map`; an empty basis means nullity `ncols`
-everywhere, with no elimination at all.
-
 Every candidate lies in the kernel of its own system, so every nullity is
 at least 1: d_lambda lambda = 0 because a_lambda ^ a_lambda = 0, and a
 component's system at c = (c_i) is M_K(c) = rows(lambda) K^T with lambda =
 sum c_i K_i, so M_K(c) c = rows(lambda) lambda = 0 as lambda lies in
-Z_Gamma(lambda).  `scan_nullities` checks this once per call on its basis
-rows (`_check_self_kernel`) and raises `ValueError` otherwise.  Almost no
+Z_Gamma(lambda).  `scan_nullities` checks this once per call on the
+nonzero digit rows (`_check_self_kernel`; a digit row that is zero is
+zero at every candidate) and raises `ValueError` otherwise.  Almost no
 candidate is resonant, so the scan certifies nullity 1 on a sketch first:
-S M(lambda), with S a fixed r1 x R matrix over F_p and r1 = C - 1 + e a
-few rows more than a nullity-1 system of C columns needs (a random
-combination of the rows keeps the rank of such a system with high
-probability; Cheung, Kwok & Lau, "Fast matrix rank algorithms and
-applications", J. ACM 60(5), 2013).  The rows of S M(lambda) are
+S M(lambda), with S a fixed r1 x R matrix over F_p for the R nonzero rows
+and r1 = C - 1 + e a few rows more than a nullity-1 system of C columns
+needs (a random combination of the rows keeps the rank of such a system
+with high probability; Cheung, Kwok & Lau, "Fast matrix rank algorithms
+and applications", J. ACM 60(5), 2013).  The rows of S M(lambda) are
 combinations of those of M(lambda), so nullity(S M) >= nullity(M) >= 1
 and a sketch nullity of 1 proves nullity 1; only the candidates whose
-sketch nullity is at least 2 are eliminated again on the full basis.  The
+sketch nullity is at least 2 are eliminated again on all R rows.  The
 nullities are therefore the same for every S, and S changes only how many
-candidates take the second stage.
+candidates take the second stage; rows that repeat or combine others cost
+elimination work but change no nullity.
 
 Over F_{p^k} the field scan also eliminates only one candidate per orbit of
 the Frobenius sigma(x) = x^p.  Every system the scans build has its
@@ -248,32 +239,33 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
     """Nullity of the system matrix for projective candidates start..stop-1.
 
     `nrows` is the nominal row count, the one `build_digit_map` returns.
-    Only an F_p basis of the rows, as linear functions of the candidate's
-    digits (each row's block of L reshaped to one vector), is eliminated:
-    an F_p combination of digit vectors is the same combination of the F_q
-    entries, so at every candidate the basis rows span the same F_q row
-    space as the system matrix and the nullity is unchanged.  An empty
-    basis gives nullity `ncols` for every candidate without any block.
+    Each row's block of L, reshaped to one vector, gives that row as a
+    linear function of the candidate's digits; only the nonzero digit rows
+    are eliminated, since a zero one is zero at every candidate.  An
+    all-zero map gives nullity `ncols` for every candidate without any
+    block.
 
     Every candidate lies in the kernel of its own system, M(lambda) lambda
     = 0, so its nullity is at least 1.  This holds for both callers:
     d_lambda lambda = 0 because a_lambda ^ a_lambda = 0, and a component
     system at c is M_K(c) = rows(lambda) K^T with lambda = sum c_i K_i, so
     M_K(c) c = rows(lambda) lambda = 0 as lambda lies in Z_Gamma(lambda).
-    That premise is checked once per call on the basis rows
+    That premise is checked once per call on the nonzero digit rows
     (`_check_self_kernel`), and the elimination runs in two stages.  With
-    R basis rows and r1 = ncols - 1 + e < R rows (e = 3 over F2, 2 over F3
-    and F4, 1 otherwise), a fixed r1 x R matrix S over F_p, drawn from
-    `random.Random(0)`, gives the sketch S M(lambda): S has F_p entries,
-    so S times the basis rows is again a digit map.
+    R nonzero digit rows and r1 = ncols - 1 + e < R rows (e = 3 over F2, 2
+    over F3 and F4, 1 otherwise), a fixed r1 x R matrix S over F_p, drawn
+    from `random.Random(0)`, gives the sketch S M(lambda): S has F_p
+    entries, and an F_p combination of digit rows is the same combination
+    of the F_q entries, so S times the digit rows is again a digit map.
     Every candidate is eliminated on the sketch, and only those whose
-    sketch nullity is at least 2 again on the full basis.  This is exact
-    for every S: the rows of S M(lambda) are combinations of those of
-    M(lambda), so nullity(S M(lambda)) >= nullity(M(lambda)) >= 1, and a
-    sketch nullity of 1 proves nullity 1.  S changes only how many
-    candidates reach the second stage (almost none are resonant).  A sketch
-    nullity of 0 would contradict the premise and raises `ValueError`.
-    When r1 >= R the full basis is eliminated once.
+    sketch nullity is at least 2 again on all R rows.  This is exact for
+    every S, and for rows that repeat or combine others: the rows of
+    S M(lambda) are combinations of those of M(lambda), so
+    nullity(S M(lambda)) >= nullity(M(lambda)) >= 1, and a sketch nullity
+    of 1 proves nullity 1.  S changes only how many candidates reach the
+    second stage (almost none are resonant).  A sketch nullity of 0 would
+    contradict the premise and raises `ValueError`.  When r1 >= R all R
+    rows are eliminated once.
 
     Over F_q = F_{p^k} only one candidate per Frobenius orbit is
     eliminated.  Let sigma(x) = x^p act on each coordinate, and Phi be the
@@ -300,7 +292,8 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
     p, kext, q = field_params(ring)
     width = L.shape[1]
     frob = _frobenius(L, ring, dim)
-    rows = _row_basis(L.reshape(nrows, ncols * kext * width), p)
+    rows = L.reshape(nrows, ncols * kext * width)
+    rows = rows[rows.any(1)]
     nrows = rows.shape[0]
     if nrows == 0:
         return np.full(stop - start, ncols, dtype=np.uint8)
@@ -365,7 +358,7 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
 def _check_self_kernel(rows: np.ndarray, ring: Ring, dim: int,
                        ncols: int) -> None:
     """Raise `ValueError` unless M(lambda) lambda = 0 for every candidate
-    lambda, where M is the system whose F_p basis rows are `rows`.
+    lambda, where M is the system whose nonzero digit rows are `rows`.
 
     With digits d_u of lambda = sum d_u eps_u (u = (i, t), eps_u = x^t at
     coordinate i), M(lambda) lambda = sum_{u, v} d_u d_v B(u, v) with
@@ -373,8 +366,8 @@ def _check_self_kernel(rows: np.ndarray, ring: Ring, dim: int,
     coefficient of a polynomial of degree below p in each variable is read
     off its values on F_p (over F_2, d^2 = d and the form is multilinear),
     so the form vanishes identically iff B(u, u) = 0 and B(u, v) + B(v, u)
-    = 0 for u < v.  Checking the basis rows suffices: they span the
-    system's rows over F_p, and each is a combination of them."""
+    = 0 for u < v.  Checking the nonzero digit rows suffices: a zero row
+    is zero at every candidate, so its entry of M(lambda) lambda is 0."""
     if ncols != dim:
         raise ValueError(f"a system with {ncols} columns cannot have its "
                          f"{dim}-coordinate candidate in its kernel")
@@ -645,33 +638,6 @@ _BLOCK = 4096
 _CHAIN_BLOCK = 256
 _TABLE_CACHE: dict = {}
 _RING_TABLES: dict = {}
-
-
-def _row_basis(A: np.ndarray, p: int) -> np.ndarray:
-    """An F_p basis of the row space of A: the nonzero rows of an echelon
-    form of A mod p, as an int64 array of shape (rank, W)."""
-    A = np.asarray(A, dtype=np.int64) % p
-    keep = np.flatnonzero(A.any(0))  # row operations keep zero columns zero
-    E = A[:, keep]
-    rank = 0
-    for c in range(E.shape[1]):
-        nz = np.flatnonzero(E[rank:, c])
-        if nz.size == 0:
-            continue
-        if nz[0]:
-            E[[rank, rank + nz[0]]] = E[[rank + nz[0], rank]]
-        lead = int(E[rank, c])
-        if lead != 1:
-            E[rank] = E[rank] * pow(lead, -1, p) % p
-        if nz.size > 1:
-            rows = rank + nz[1:]
-            E[rows] = (E[rows] - E[rows, c, None] * E[rank]) % p
-        rank += 1
-        if rank == E.shape[0]:
-            break
-    out = np.zeros((rank, A.shape[1]), dtype=np.int64)
-    out[:, keep] = E[:rank]
-    return out
 
 
 def _ring_tables(ring: Ring):

@@ -75,12 +75,18 @@ def test_scan_spot_check_extension_field():
     assert np.array_equal(nul, glued)
 
 
-def test_empty_window_and_empty_basis():
+def test_empty_window_and_all_zero_digit_map():
     m = catalog("nonfano")
     ring = make_ring("F2")
     L, nr, nc = oracle._dlambda_digit_map(m, ring)
     out = _kernels.scan_nullities(L, ring, m.n, nr, nc, 5, 5)
     assert out.size == 0
+    # an all-zero map takes the no-elimination shortcut, sized by the window
+    for hi in (5, 25):
+        out = _kernels.scan_nullities(np.zeros_like(L), ring, m.n, nr, nc,
+                                      5, hi)
+        assert out.tolist() == [nc] * (hi - 5)
+    # no candidate basis has no digit map at all
     with pytest.raises(ValueError):
         _kernels.build_digit_map(lambda lam: [[0]], [], ring, 1)
 

@@ -1,5 +1,6 @@
-"""The row basis of the field scan kernel: `_kernels._row_basis` against
-exact ranks, and the kernel on component maps whose rows it shrinks."""
+"""The field scan kernel on component maps whose digit rows vanish or
+repeat one another: every nullity against exact ranks, the rows the
+elimination receives, and redundant rows stacked onto a digit map."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from resonance_lab.graphs import parse_graph
 from resonance_lab.matroid import catalog
 from resonance_lab.neighborly import CapExceeded, enumerate_neighborly, k_gamma
 from resonance_lab.oracle import regulus_check
-from resonance_lab.rings import Matrix, make_ring, rank_field
+from resonance_lab.rings import Matrix, PrimeField, make_ring, rank_field
 
 HESSIAN_GRAPH = "123|456|789|αβγ"
 
@@ -18,46 +19,6 @@ HESSIAN_GRAPH = "123|456|789|αβγ"
 def _rank(rows, ring, width):
     return rank_field(Matrix.from_rows(ring, [tuple(map(int, r)) for r in rows],
                                        width=width))
-
-
-def _redundant_matrix(rng, p, R, W):
-    """R x W integers whose rows include zero rows, duplicates and
-    multiples of earlier rows; entries are not reduced mod p."""
-    A = rng.integers(0, 3 * p, size=(R, W))
-    for i in range(1, R):
-        kind = rng.integers(0, 4)
-        j = int(rng.integers(0, i))
-        if kind == 0:
-            A[i] = 0
-        elif kind == 1:
-            A[i] = A[j]
-        elif kind == 2:
-            A[i] = A[j] * int(rng.integers(1, p + 1))
-    return A
-
-
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_row_basis_matches_exact_rank(p):
-    ring = make_ring(f"F{p}")
-    rng = np.random.default_rng(p)
-    shapes = [(R, W) for R, W in rng.integers(1, 12, size=(20, 2))]
-    shapes += [(3, 9), (9, 3), (1, 1), (6, 6)]
-    assert any(R < W for R, W in shapes) and any(R > W for R, W in shapes)
-    for R, W in shapes:
-        A = _redundant_matrix(rng, p, int(R), int(W))
-        basis = _kernels._row_basis(A, p)
-        assert basis.shape[1] == W
-        assert ((0 <= basis) & (basis < p)).all()
-        rank = _rank(A % p, ring, W)
-        # the same rank, independent rows, and nothing of A outside the span
-        assert basis.shape[0] == rank, A.tolist()
-        assert _rank(basis, ring, W) == basis.shape[0]
-        assert _rank(np.vstack([basis, A % p]), ring, W) == rank
-
-
-def test_row_basis_of_a_matrix_that_vanishes_mod_p():
-    assert _kernels._row_basis(np.zeros((4, 7), dtype=np.int64), 3).shape == (0, 7)
-    assert _kernels._row_basis(np.full((2, 5), 6), 3).shape == (0, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +38,12 @@ def _map_of(g, m, ring):
     return g, m, ring, kb, L, nr, nc
 
 
-def _basis_rows(L, nr, nc, ring):
-    p, kext, _ = _kernels.field_params(ring)
-    return _kernels._row_basis(L.reshape(nr, nc * kext * L.shape[1]), p).shape[0]
+def _digit_rank(L, nr, ring):
+    """The F_p rank of the digit rows (each row's block of L as one
+    vector), in Ring arithmetic over the prime field."""
+    rows = L.reshape(nr, -1)
+    return _rank(rows, PrimeField(_kernels.field_params(ring)[0]),
+                 rows.shape[1])
 
 
 def _check_candidates(g, m, ring, kb, nul, gs):
@@ -99,7 +63,7 @@ def _full_scan(kb, ring, L, nr, nc):
 
 def test_hessian_f9_component_on_a_row_basis():
     g, m, ring, kb, L, nr, nc = _component_map(HESSIAN_GRAPH, "hessian", "F9")
-    assert (nr, nc) == (48, 6) and _basis_rows(L, nr, nc, ring) == 9
+    assert (nr, nc) == (48, 6) and _digit_rank(L, nr, ring) == 9
     nul = _full_scan(kb, ring, L, nr, nc)
     resonant = np.nonzero(nul >= 2)[0]
     assert resonant.size == 901
@@ -113,7 +77,7 @@ def _collapsing_deletedb3_f3_maps():
     maps = [_map_of(g, m, ring)
             for g in enumerate_neighborly(m, ring, partitions_only=True)]
     return [mp for mp in maps
-            if mp[5] == 29 and _basis_rows(*mp[4:], ring) <= 2]
+            if mp[5] == 29 and _digit_rank(mp[4], mp[5], ring) <= 2]
 
 
 def test_deletedb3_f3_components_that_collapse_to_one_or_two_rows():
@@ -133,8 +97,8 @@ def test_braid_k4_component_with_only_zero_rows():
 
 
 def test_block_rank_sees_only_the_basis_rows(monkeypatch):
-    # the compression is invisible to every nullity, so record what the
-    # elimination receives and what it returns
+    # dropping the zero rows and sketching is invisible to every nullity,
+    # so record what the elimination receives and what it returns
     calls = []
     block_length = _kernels._block_length
 
@@ -146,21 +110,22 @@ def test_block_rank_sees_only_the_basis_rows(monkeypatch):
     monkeypatch.setattr(_kernels, "_block_length", recording)
     _, _, ring, kb, L, nr, nc = _component_map(HESSIAN_GRAPH, "hessian", "F9")
     nul = _full_scan(kb, ring, L, nr, nc)
-    # 9 basis rows, and a sketch of r1 = ncols - 1 + 1 = 6 of them over F9
-    assert {s[1:] for s, _ in calls} == {(6, 6), (9, 6)}
+    # 12 of the 48 digit rows are nonzero (of F_p rank 9), and a sketch of
+    # r1 = ncols - 1 + 1 = 6 rows over F9 combines them
+    assert {s[1:] for s, _ in calls} == {(6, 6), (12, 6)}
     # the sketch eliminates one candidate per Frobenius orbit: by Burnside,
     # the orbits of the group {1, sigma} on P^5(F9) number
     # (|P^5(F9)| + |P^5(F3)|) / 2
     assert sum(s[0] for s, _ in calls if s[1] == 6) == 33397 == (
         _kernels.projective_total(9, len(kb))
         + _kernels.projective_total(3, len(kb))) // 2
-    # each block's full-basis call follows its sketch call and takes exactly
+    # each block's full-row call follows its sketch call and takes exactly
     # the candidates the sketch did not certify (sketch nullity >= 2)
     redo = []
     for (shape, ls), (later, full) in zip(calls, calls[1:] + [((0, 0), 0)]):
         if shape[1] == 6:
             uncertified = int((nc - ls >= 2).sum())
-            assert (later[1] == 9) == (uncertified > 0)
+            assert (later[1] == 12) == (uncertified > 0)
             if uncertified:
                 assert later[0] == uncertified
                 redo.append(nc - full)
@@ -178,6 +143,42 @@ def test_block_rank_sees_only_the_basis_rows(monkeypatch):
     _, _, ring, kb, L, nr, nc = _component_map("12|34|56", "braid-K4", "F3")
     _full_scan(kb, ring, L, nr, nc)
     assert calls == []
+
+
+def _with_redundant_rows(L, nr, ring, rng):
+    """L with its rows followed by a permuted copy of them, an F_p
+    combination of two nonzero ones and three zero rows, as (L', nrows')."""
+    p = _kernels.field_params(ring)[0]
+    rows = L.reshape(nr, -1)
+    i, j = rng.choice(np.flatnonzero(rows.any(1)), size=2, replace=False)
+    a, b = rng.integers(1, p, size=2)
+    extra = [rows[rng.permutation(nr)], [(a * rows[i] + b * rows[j]) % p],
+             np.zeros((3, rows.shape[1]), dtype=rows.dtype)]
+    stacked = np.vstack([rows] + extra)
+    return stacked.reshape(-1, L.shape[1]), stacked.shape[0]
+
+
+@pytest.mark.parametrize("name,spec", [("deletedB3", "F3"), ("braid-K4", "F4"),
+                                       ("hessian", "F9")])
+def test_redundant_rows_change_no_nullity(name, spec):
+    # d_lambda of deletedB3 and braid-K4, and the Hessian component map:
+    # the sketch argument needs only rows that span the system, so rows
+    # that repeat, combine or vanish change how much is eliminated and
+    # nothing else
+    if name == "hessian":
+        _, _, ring, kb, L, nr, nc = _component_map(HESSIAN_GRAPH, name, spec)
+        dim = len(kb)
+    else:
+        m, ring = catalog(name), make_ring(spec)
+        L, nr, nc = oracle._dlambda_digit_map(m, ring)
+        dim = m.n
+    total = _kernels.projective_total(ring.cardinality, dim)
+    nul = _kernels.scan_nullities(L, ring, dim, nr, nc, 0, total)
+    L2, nr2 = _with_redundant_rows(L, nr, ring, np.random.default_rng(nr))
+    assert nr2 == 2 * nr + 4
+    again = _kernels.scan_nullities(L2, ring, dim, nr2, nc, 0, total)
+    assert np.array_equal(again, nul)
+    assert (nul >= 2).any()
 
 
 def test_regulus_check_is_capped(monkeypatch):

@@ -1,8 +1,8 @@
 """The field scan certifies nullity 1 on a sketch of the system.
 
 `_kernels.scan_nullities` eliminates every candidate on a fixed F_p
-combination S of its basis rows, and again on the full basis only where
-the sketch nullity is at least 2.  That is exact because every candidate
+combination S of its nonzero digit rows, and again on all of them only
+where the sketch nullity is at least 2.  That is exact because every candidate
 lies in the kernel of its own system, M(lambda) lambda = 0, so
 nullity(S M) >= nullity(M) >= 1 and a sketch nullity of 1 proves nullity 1.
 These tests check the premise (`_kernels._check_self_kernel`) against a
@@ -136,8 +136,8 @@ def test_premise_holds_on_the_hessian_f9_component_and_d_lambda():
 
 def _recorded_stages(monkeypatch, L, ring, dim, nr, nc):
     """The full scan's nullities, and (sketch nullity, full nullity) of
-    every candidate the sketch sent to the full basis, read from the
-    elimination calls: each block's sketch call, then its full-basis call
+    every candidate the sketch sent to the full rows, read from the
+    elimination calls: each block's sketch call, then its full-row call
     on the candidates whose sketch nullity is at least 2."""
     calls = []
     block_length = _kernels._block_length
@@ -175,7 +175,7 @@ def _check_stages(nul, pairs, reference):
     sketch, full = pairs
     assert (full >= 1).all() and (full <= sketch).all()
     # the sketch left candidates of nullity 1 uncertified, some of them at
-    # sketch nullity exactly 2: the full basis is needed, down to that case
+    # sketch nullity exactly 2: the full rows are needed, down to that case
     assert ((sketch == 2) & (full == 1)).any()
     assert int((full >= 2).sum()) == int((nul >= 2).sum())
 
