@@ -68,7 +68,10 @@ lockstep, one pass of the reference loop body per numpy round, in int64
 with a bound that hands the chunk's unfinished matrices back to
 `kernel_modn` before a product could overflow.  `_howell_forms` then
 replays `rings.howell_form` on the generators of the whole chunk at once,
-with the same pool order, merges and reverse-order reduction.
+with the same pool order, merges and reverse-order reduction.  The weights
+a field scan reports get their Z(lambda) basis from `echelon_kernels`, one
+reduced row echelon form of all their systems at once, which gives each
+exactly the basis `rings.kernel_field` gives.
 
 Candidates are numbered in one of two orders, with one decoder each.
 Tuples of (Z/q)^dim follow `itertools.product` order: tuple g has the
@@ -102,6 +105,7 @@ __all__ = [
     "ring_product",
     "projective_canon",
     "scan_nullities",
+    "echelon_kernels",
     "chain_params",
     "scan_lengths",
 ]
@@ -308,24 +312,6 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
     else:
         first = rows
     tables = _chain_tables_for(ring)
-    tdt = tables[0].dtype
-    pw = p ** np.arange(kext, dtype=np.int64)
-    # float64 matmuls run in BLAS and stay exact: an entry of the product is
-    # a sum of dim * kext digit products, each at most (p - 1)**2, far from
-    # 2**53; the narrowest integer type holding that bound takes the % p
-    dt = np.min_scalar_type((p - 1) ** 2 * dim * kext)
-
-    def systems(digits, Lt):
-        """The (B, rows, ncols) systems over F_q of the candidates whose
-        base-p digits are the rows of `digits`, through the digit map Lt."""
-        B, R = digits.shape[0], Lt.shape[1] // (ncols * kext)
-        mdig = ((digits @ Lt).astype(dt) % p).astype(
-            tdt, copy=False).reshape(B, R * ncols, kext)
-        mats = mdig[:, :, 0].copy()
-        for t in range(1, kext):
-            mats += mdig[:, :, t] * (p ** t)
-        return mats.reshape(B, R, ncols)
-
     Lt1, Lt = (r.reshape(-1, width).T.astype(np.float64)
                for r in (first, rows))
     out = np.zeros(stop - start, dtype=np.uint8)
@@ -339,9 +325,9 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
             g = _encode_candidates(image, q, dim)
             rep = np.where((g >= start) & (g < rep), g, rep)
         own = np.flatnonzero(rep == gs)
-        digits = ((coords[own, :, None] // pw) % p).reshape(
-            own.size, dim * kext).astype(np.float64)
-        nul = ncols - _block_length(systems(digits, Lt1), *tables)
+        digits = _digits(coords[own], p, kext)
+        nul = ncols - _block_length(
+            _digit_systems(digits, Lt1, ring, ncols), *tables)
         if not nul.all():
             raise ValueError("a candidate is missing from the kernel of its "
                              "own system")
@@ -349,10 +335,99 @@ def scan_nullities(L: np.ndarray, ring: Ring, dim: int, nrows: int, ncols: int,
             redo = np.flatnonzero(nul >= 2)
             if redo.size:
                 nul[redo] = ncols - _block_length(
-                    systems(digits[redo], Lt), *tables)
+                    _digit_systems(digits[redo], Lt, ring, ncols), *tables)
         out[lo - start + own] = nul
         out[lo - start:hi - start] = out[rep - start]
     return out
+
+
+def _digit_systems(digits: np.ndarray, Lt: np.ndarray, ring: Ring,
+                   ncols: int) -> np.ndarray:
+    """The (B, R, ncols) systems over F_q of the candidates whose base-p
+    digits are the float64 rows of `digits`, through the transposed digit
+    map Lt (digits, R * ncols * k): one matmul, then each entry's k digits
+    joined into its encoding."""
+    p, kext, _ = field_params(ring)
+    B, R = digits.shape[0], Lt.shape[1] // (ncols * kext)
+    # float64 matmuls run in BLAS and stay exact: an entry of the product is
+    # a sum of dim * kext digit products, each at most (p - 1)**2, far from
+    # 2**53; the narrowest integer type holding that bound takes the % p
+    dt = np.min_scalar_type((p - 1) ** 2 * digits.shape[1])
+    mdig = ((digits @ Lt).astype(dt) % p).astype(
+        _chain_tables_for(ring)[0].dtype, copy=False).reshape(
+            B, R * ncols, kext)
+    mats = mdig[:, :, 0].copy()
+    for t in range(1, kext):
+        mats += mdig[:, :, t] * (p ** t)
+    return mats.reshape(B, R, ncols)
+
+
+def _digits(coords: np.ndarray, p: int, kext: int) -> np.ndarray:
+    """The base-p digits of the F_q encodings coords (B, dim), as float64
+    rows (B, dim * kext), each coordinate's digits least significant
+    first."""
+    pw = p ** np.arange(kext, dtype=np.int64)
+    coords = np.asarray(coords, dtype=np.int64)
+    B, dim = coords.shape
+    return (coords[:, :, None] // pw % p).reshape(
+        B, dim * kext).astype(np.float64)
+
+
+def _field_systems(L: np.ndarray, ring: Ring, coords: np.ndarray,
+                   ncols: int) -> np.ndarray:
+    """The system matrices over F_q, through the digit map L of
+    `build_digit_map`, of the weights whose coordinate encodings are the
+    rows of coords."""
+    p, kext, _ = field_params(ring)
+    return _digit_systems(_digits(coords, p, kext), L.T.astype(np.float64),
+                          ring, ncols)
+
+
+def echelon_kernels(M: np.ndarray,
+                    ring: Ring) -> Tuple[np.ndarray, np.ndarray]:
+    """`rings.kernel_field` of every matrix of the (B, R, C) stack M over a
+    finite field, from one reduced row echelon form of the whole stack.
+
+    Returns (K, free), with free (B, C) true at the columns of M[b] that
+    hold no pivot.  For such a column f, K[b, f] is the vector that
+    `kernel_field` builds for f: one at f, minus the RREF row's entry f at
+    each pivot column, zero elsewhere; K[b][free[b]] is kernel_field(M[b])
+    vector for vector, and the rows of K at pivot columns are zero.  The
+    reduced row echelon form of a matrix is unique, so the basis does not
+    depend on how the pivots are found; like `rings.rref_field`, each
+    matrix pivots on the first row at or below its next pivot row that is
+    nonzero in the column, scales it to a leading one and clears the column
+    in every other row, all matrices of the stack in one step per column,
+    through the ring's tables.
+    """
+    add, mul, neg, inv = _ring_tables(ring)
+    M = np.array(M, dtype=np.intp)
+    B, R, C = M.shape
+    rows = np.arange(R)
+    nxt = np.zeros(B, dtype=np.intp)  # next pivot row of each matrix
+    pivot_row = np.full((B, C), -1, dtype=np.intp)
+    for c in range(C):
+        cand = (M[:, :, c] != 0) & (rows >= nxt[:, None])
+        b = np.flatnonzero(cand.any(1))
+        if not b.size:
+            continue
+        i, r = cand[b].argmax(1), nxt[b]
+        M[b, i], M[b, r] = M[b, r], M[b, i]
+        piv = mul[inv[M[b, r, c]][:, None], M[b, r]]
+        f = M[b, :, c]
+        f[np.arange(b.size), r] = 0
+        M[b] = add[M[b], neg[mul[f[:, :, None], piv[:, None, :]]]]
+        M[b, r] = piv
+        pivot_row[b, c] = r
+        nxt[b] += 1
+    free = pivot_row < 0
+    K = np.zeros((B, C, C), dtype=neg.dtype)
+    # K[b, f, pc] = -(entry f of the RREF row that holds pivot column pc)
+    b, pc = np.nonzero(~free)
+    K[b, :, pc] = neg[M[b, pivot_row[b, pc]]]
+    K[~free] = 0
+    K[:, np.arange(C), np.arange(C)] = free
+    return K, free
 
 
 def _check_self_kernel(rows: np.ndarray, ring: Ring, dim: int,

@@ -1,18 +1,24 @@
 """Brute-force ground truth: exhaustive weight scans, component
 stratification, vanishing-form interpolation, and the regulus demo.
 
-Scans enumerate one representative per projective class over fields (first
+Scans classify one representative per projective class over fields (first
 nonzero coordinate one) and every nonzero tuple over Z/N.  Over a field a
-weight is resonant iff its kernel nullity is at least 2.  Over Z/N it is
-resonant iff Z(lambda) is larger than its parallel locus P(lambda); both
-split over the prime-power factors p^k of N, so the batched kernel decides
-every tuple of each factor ring once, and a weight is reported when some
-factor of it is resonant.  The kernel eliminates d_lambda alone: P(lambda)
-has a closed form, cut out by a row module of length (n - 1)(k - v) with v
-the least p-adic valuation of lambda's coordinates (proof in
-`_resonant_mask`).  Each reported point's Z(lambda) is then computed once
-on the exact path: over a field its dimension must equal the kernel
-nullity, over Z/N it must hold a partner that is not parallel to lambda.
+weight is resonant iff its kernel nullity is at least 2, and a weight whose
+coordinate sum is nonzero has nullity exactly 1 (proof in
+`_scan_resonance_field`), so the kernel eliminates only the projective
+points of the hyperplane of sum zero, q times fewer than all of them.
+Each reported field weight's Z(lambda) then comes from one batched
+reduced row echelon form of its d_lambda (`_kernels.echelon_kernels`, the
+basis `kernel_field` gives); its dimension must equal the kernel nullity.
+Over Z/N a weight is resonant iff Z(lambda) is larger than its parallel
+locus P(lambda); both split over the prime-power factors p^k of N, so the
+batched kernel decides every tuple of each factor ring once, and a weight
+is reported when some factor of it is resonant.  The kernel eliminates
+d_lambda alone: P(lambda) has a closed form, cut out by a row module of
+length (n - 1)(k - v) with v the least p-adic valuation of lambda's
+coordinates (proof in `_resonant_mask`).  Each reported Z/N point's
+Z(lambda) is then computed once on the exact module path and must hold a
+partner that is not parallel to lambda.
 Over Z/N the reported weights go in chunks of `_SMITH_CHUNK` to
 `_kernels._smith_kernels`, which replays the integer Smith form and the
 Howell form of `kernel_modn` on the whole chunk in numpy and returns,
@@ -44,9 +50,9 @@ from .graphs import Graph
 from .linegeom import Subspace, depth as geom_depth, span
 from .matroid import Matroid
 from .neighborly import CapExceeded, k_gamma, zgamma_rows
-from .osalg import dlambda_matrix, z_of
+from .osalg import dlambda_matrix
 from .osalg import is_resonant  # noqa: F401  perfbench/selftest.py reads oracle.is_resonant
-from .rings import (IntegersModN, Matrix, Ring, is_parallel, kernel_field,
+from .rings import (IntegersModN, Matrix, Ring, kernel_field,
                     prime_power_factors, rank_field)
 
 __all__ = [
@@ -109,6 +115,12 @@ class ScanPoint:
 
 @dataclass(frozen=True)
 class ScanReport:
+    """A scan's resonant points and their graph groups.  `universe` counts
+    the weights the scan classified: every projective weight of F_q^n, or
+    every nonzero tuple of (Z/N)^n.  Over a field the kernel eliminates only
+    those of the hyperplane of sum zero and classifies the rest by the
+    coordinate-sum lemma.  `jobs` is the number of kernel threads that
+    ran."""
     matroid_name: str
     ring_spec: str
     universe: int
@@ -138,12 +150,15 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
                    jobs: int = 1) -> ScanReport:
     """Classify every nonzero weight of a finite ring as resonant or not.
 
-    Fields walk one representative per projective class through the digit
-    kernels.  Z/N walks all nonzero tuples in `itertools.product` order and
-    reports a tuple when the batched kernel over some prime-power factor
-    calls its image resonant; only the reported tuples take the exact
-    module path, for their partner.  Every reported point's partner is
-    verified by direct wedge evaluation.
+    Fields classify one representative per projective class.  The digit
+    kernel eliminates only the classes of the hyperplane of sum zero; every
+    other class has dim Z(lambda) = 1 (proof in `_scan_resonance_field`).
+    `jobs` splits the hyperplane's candidates into that many ranges at
+    most, one thread each.  Z/N walks all nonzero tuples in
+    `itertools.product` order and reports a tuple when the batched kernel
+    over some prime-power factor calls its image resonant; only the
+    reported tuples take the exact module path, for their partner.  Every
+    reported point's partner is verified by direct wedge evaluation.
     """
     t0 = time.perf_counter()
     budget = _budget(cap)
@@ -153,17 +168,15 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
         raise CapExceeded(
             f"{ring.cardinality}**{m.n} weights exceed the budget {budget}")
     if ring.is_field:
-        points, etas = _scan_resonance_field(m, ring, jobs)
+        points, etas, workers = _scan_resonance_field(m, ring, jobs)
+        universe = _kernels.projective_total(ring.cardinality, m.n)
     elif isinstance(ring, IntegersModN):
         points, etas = _scan_resonance_modn(m, ring)
+        # the Z/N kernel scans each factor ring in one call
+        universe, workers = ring.cardinality ** m.n - 1, 1
     else:
         raise ValueError(f"unsupported ring {ring.spec}")
     groups = _group_by_graph([p.lam for p in points], etas, m, ring)
-    if ring.is_field:
-        universe = _kernels.projective_total(ring.cardinality, m.n)
-        workers = len(_split_ranges(universe, jobs))
-    else:  # the Z/N kernel scans each factor ring in one call
-        universe, workers = ring.cardinality ** m.n - 1, 1
     return ScanReport(m.name, ring.spec, universe, tuple(points), groups,
                       time.perf_counter() - t0, budget, workers)
 
@@ -175,22 +188,133 @@ def _dlambda_digit_map(m: Matroid, ring: Ring) -> Tuple[np.ndarray, int, int]:
         lambda lam: dlambda_matrix(lam, m, ring).rows, basis, ring, m.n)
 
 
-def _scan_resonance_field(m: Matroid, ring: Ring,
-                          jobs: int) -> Tuple[List[ScanPoint], List[tuple]]:
-    L, nr, nc = _dlambda_digit_map(m, ring)
-    total = _kernels.projective_total(ring.cardinality, m.n)
-    nullities = _scan_all(L, ring, m.n, nr, nc, total, jobs)
+def _scan_resonance_field(m: Matroid, ring: Ring, jobs: int
+                          ) -> Tuple[List[ScanPoint], List[tuple], int]:
+    """The resonant weights of a field scan, their partners, and the number
+    of candidate ranges the kernel ran.
+
+    Only the hyperplane H = {s(lambda) = 0} is eliminated, s the coordinate
+    sum, because no weight off H is resonant.  Proof: for a point k, sum
+    the rows (X, k) of d_lambda over the lines X through k, trivial lines
+    included, where the row (X, min X), which d_lambda leaves out, is minus
+    the sum of the other rows of X (the terms lambda_X eta_j - lambda_j
+    eta_X sum to zero over j in X).  Each point j != k lies on exactly one
+    line with k, so the lines through k cover the others once and
+    sum_{X ∋ k} lambda_X = r_k lambda_k + s(lambda) - lambda_k, with r_k
+    the number of lines through k.  The sum is therefore
+    eta_k (r_k lambda_k + s(lambda) - lambda_k)
+    - lambda_k (r_k eta_k + s(eta) - eta_k) = s(lambda) eta_k
+    - lambda_k s(eta).  So d_lambda eta = 0 gives s(lambda) eta =
+    s(eta) lambda.  If s(lambda) != 0, Z(lambda) lies on the line through
+    lambda, which it contains, and the nullity is exactly 1.  If lambda is
+    in H and nonzero, s(eta) lambda = 0 forces s(eta) = 0, so Z(lambda)
+    lies in H.  Both hold over every field.  `_check_row_sums` checks the
+    identity on the digit map once per call and raises `ValueError` if it
+    fails.
+
+    H is scanned in the basis e_i - e_n, i < n: the candidate c stands for
+    lambda = (c_1, ..., c_{n-1}, -s(c)), and the columns of d_lambda are
+    taken in the same basis (`_hyperplane_map`).  The nullity of d_lambda E
+    is dim (Z(lambda) ∩ H) = dim Z(lambda).  The kernel's premises hold:
+    d_lambda E c = d_lambda lambda = 0 with as many columns as coordinates,
+    and E has integer entries, so the map still commutes with the
+    Frobenius.  lambda's first nonzero coordinate is c's, a one, so lambda
+    is a canonical ambient point, and lambda and c order alike (by the
+    leading one's position, then lexicographically, as lambda_n follows
+    from c); the hits are sorted by ambient candidate index all the same,
+    the order of the report.  Each hit's Z(lambda) then comes from one batched
+    reduced row echelon form of its ambient d_lambda
+    (`_kernels.echelon_kernels`), exactly `kernel_field`'s basis; its
+    dimension must equal the kernel nullity, and the partner is the first
+    basis vector not parallel to lambda.
+    """
+    L, nr, _ = _dlambda_digit_map(m, ring)
+    _check_row_sums(L, m, ring)
+    n, q = m.n, ring.cardinality
+    if n == 1:  # H = 0
+        return [], [], 0
+    total = _kernels.projective_total(q, n - 1)
+    nullities = _scan_all(_hyperplane_map(L, ring, n, nr), ring, n - 1, nr,
+                          n - 1, total, jobs)
     hits = np.flatnonzero(nullities >= 2)
-    lams = _kernels.decode_candidates(hits, ring.cardinality, m.n).tolist()
-    points, etas = [], []
-    for lam, d in zip(map(tuple, lams), nullities[hits].tolist()):
-        zb = z_of(lam, m, ring)
-        if len(zb) != d:
-            raise ValueError(f"kernel nullity {d} of {lam} disagrees with "
-                             f"dim Z = {len(zb)}")
-        points.append(ScanPoint(lam, dim_z=d))
-        etas.append(next(b for b in zb if not is_parallel(lam, b, ring)))
-    return points, etas
+    coords = _kernels.decode_candidates(hits, q, n - 1)
+    to_ambient = np.hstack([np.eye(n - 1, dtype=np.intp),
+                            np.full((n - 1, 1), ring.neg(ring.one))])
+    lams = _kernels.ring_product(coords, to_ambient, ring)
+    order = np.argsort(_kernels._encode_candidates(lams, q, n), kind="stable")
+    lams, dims = lams[order], nullities[hits][order]
+    etas = []
+    for lo in range(0, len(lams), _ECHELON_CHUNK):
+        hi = lo + _ECHELON_CHUNK
+        etas += _echelon_partners(L, m, ring, lams[lo:hi], dims[lo:hi])
+    points = [ScanPoint(lam, dim_z=d)
+              for lam, d in zip(map(tuple, lams.tolist()), dims.tolist())]
+    return points, etas, len(_split_ranges(total, jobs))
+
+
+def _echelon_partners(L: np.ndarray, m: Matroid, ring: Ring,
+                      lams: np.ndarray, dims: np.ndarray) -> List[tuple]:
+    """For each row of lams, the first vector of its Z(lambda) basis (the
+    one `kernel_field` gives) that is not parallel to lambda, from one
+    batched elimination of the d_lambda; raises `ValueError` unless each
+    basis has dims[b] vectors."""
+    n = m.n
+    mats = _kernels._field_systems(L, ring, lams, n)
+    K, free = _kernels.echelon_kernels(mats, ring)
+    found = free.sum(1)
+    bad = np.flatnonzero(found != dims)
+    if bad.size:
+        b = bad[0]
+        lam = tuple(lams[b].tolist())
+        raise ValueError(f"kernel nullity {dims[b]} of {lam} disagrees with "
+                         f"dim Z = {found[b]}")
+    moving = free & _minors(np.repeat(lams, n, axis=0), K.reshape(-1, n),
+                            ring).any(1).reshape(free.shape)
+    return list(map(tuple, K[np.arange(len(K)), moving.argmax(1)].tolist()))
+
+
+def _row_sum_matrix(m: Matroid) -> np.ndarray:
+    """The (n, R) 0/±1 matrix T whose row k sums the rows (X, k) of
+    d_lambda over the lines X through k: +1 at each row (X, k), and -1 at
+    every row of X when k = min X, whose own row d_lambda leaves out."""
+    rows = [(X, k) for X in m.all_lines for k in X[1:]]
+    T = np.zeros((m.n, len(rows)), dtype=np.int64)
+    for r, (X, k) in enumerate(rows):
+        T[k - 1, r] += 1
+        T[X[0] - 1, r] -= 1
+    return T
+
+
+def _check_row_sums(L: np.ndarray, m: Matroid, ring: Ring) -> None:
+    """Raise `ValueError` unless T d_lambda = s(lambda) I - lambda 1^T for
+    every weight, with T = `_row_sum_matrix(m)` and L the digit map of
+    d_lambda: row k of the right side is eta -> s(lambda) eta_k - lambda_k
+    s(eta).  Both sides are F_p-linear in lambda's digits, so the identity
+    holds iff it holds at each unit digit x^t e_i, where the digit t' of the
+    right side's entry (k, j) is [t' = t] ([k = j] - [k = i])."""
+    p, kext, _ = _kernels.field_params(ring)
+    n = m.n
+    T = _row_sum_matrix(m)
+    got = T @ L.reshape(T.shape[1], n * kext * n * kext) % p
+    eye, digit = np.eye(n, dtype=np.int64), np.eye(kext, dtype=np.int64)
+    # want[k, j, t', i, t]
+    want = ((eye[:, :, None, None, None] - eye[:, None, None, :, None])
+            * digit[None, None, :, None, :]) % p
+    if (got != want.reshape(n, -1)).any():
+        raise ValueError("the rows of d_lambda do not sum to s(lambda) eta_k "
+                         "- lambda_k s(eta) over the lines through k")
+
+
+def _hyperplane_map(L: np.ndarray, ring: Ring, n: int, nr: int) -> np.ndarray:
+    """The digit map of c -> d_lambda E over F_q^(n-1), lambda = E c with E
+    the columns e_i - e_n (i < n), from the digit map L of d_lambda: the
+    digits of E c and the columns of d_lambda E are both differences, and
+    F_q subtracts digit by digit mod p."""
+    p, kext, _ = _kernels.field_params(ring)
+    A = L.reshape(nr, n, kext, n, kext)  # (row, column j, t', basis i, t)
+    A = A[:, :-1] - A[:, -1:]
+    A = A[:, :, :, :-1] - A[:, :, :, -1:]
+    return (A % p).reshape(nr * (n - 1) * kext, (n - 1) * kext)
 
 
 def _scan_resonance_modn(m: Matroid, ring: IntegersModN
@@ -233,6 +357,10 @@ def _scan_resonance_modn(m: Matroid, ring: IntegersModN
 
 
 _WALK_BLOCK = 1024
+# reported field weights per batched echelon form: a scan of pencil-n
+# reports every point of H, and one (B, R, n) stack of them holds B * R * n
+# intp entries
+_ECHELON_CHUNK = 4096
 # reported weights per batched Smith replay: one pass of the modn-scan
 # benchmark jobs peaks at 33.8 MB with chunks of 128 and 41.7 MB with chunks
 # of 1024, against 33.7 MB with one Smith form per weight

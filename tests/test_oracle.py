@@ -101,8 +101,10 @@ def test_scan_jobs_deterministic():
 
 def test_scan_reports_the_worker_count_that_ran():
     m = catalog("pencil-3")
-    # 7 projective points over F2 split into at most 7 ranges
-    assert scan_resonance(m, make_ring("F2"), jobs=10).jobs == 7
+    # the kernel runs over the 3 projective points of the hyperplane of sum
+    # zero in F2^3, split into at most 3 ranges; all 7 are classified
+    rep = scan_resonance(m, make_ring("F2"), jobs=10)
+    assert (rep.jobs, rep.universe) == (3, 7)
     assert scan_resonance(m, make_ring("F2"), jobs=2).jobs == 2
     # the Z/N kernel never splits
     assert scan_resonance(m, make_ring("Z4"), jobs=3).jobs == 1
@@ -133,11 +135,14 @@ def test_scan_z4_pencil_matches_rank_two_condition():
 
 
 def test_scan_field_raises_when_nullity_disagrees_with_z(monkeypatch):
+    # every point of the hyperplane of sum zero of pencil-3/F3 has nullity
+    # 2, so the kernel scans no nullity-1 candidate: bump a hit to 3
     real = _kernels.scan_nullities
 
     def bumped(*args):
         out = real(*args)
-        out[list(out).index(1)] = 2
+        assert 1 not in out
+        out[list(out).index(2)] = 3
         return out
 
     monkeypatch.setattr(_kernels, "scan_nullities", bumped)
@@ -252,9 +257,14 @@ def test_scan_computes_each_z_once(monkeypatch):
     assert [tuple(r) for r in rows] == [p.lam for p in rep.points]
     assert not modn and not modn_fallback
     assert not field
+    # a field scan takes every Z(lambda) from one batched echelon form
+    z = _count_calls(monkeypatch, osalg, "z_of")
+    direct = _count_calls(monkeypatch, oracle, "kernel_field")
+    echelon = _count_calls(monkeypatch, _kernels, "echelon_kernels")
     rep = scan_resonance(catalog("nonfano"), F3)
     assert len(rep.points) > 0
-    assert len(field) == len(rep.points)
+    assert not field and not z and not direct
+    assert len(echelon) == 1
 
 
 def test_scan_component_braid_f5():
