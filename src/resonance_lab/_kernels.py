@@ -42,7 +42,7 @@ once per call (L commutes with the k x k F_p matrix of sigma) and raises
 `ValueError` otherwise.  sigma maps a candidate with leading one to another
 (`_encode_candidates` numbers it, the inverse of `decode_candidates`); each
 candidate copies the nullity of the least index of its orbit at or after
-the window's start, so windows and split ranges stay exact.  Prime fields
+the window's start, so any window stays exact.  Prime fields
 have sigma = 1 and eliminate every candidate.
 
 Fields and Z/p^k are both finite chain rings: every nonzero element is a

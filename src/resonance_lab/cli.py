@@ -277,7 +277,7 @@ def _cmd_component(args) -> dict:
     m = _load_matroid(args.matroid)
     ring = make_ring(args.ring)
     g = _graph_arg(args, m)
-    scan = scan_component(g, m, ring, cap=args.cap, jobs=args.jobs)
+    scan = scan_component(g, m, ring, cap=args.cap)
     rep = scan.to_jsonable()
     rep["verb"] = "component"
     return rep
@@ -408,7 +408,7 @@ def _text_degree(r) -> list:
 def _cmd_scan(args) -> dict:
     m = _load_matroid(args.matroid)
     ring = make_ring(args.ring)
-    rep = scan_resonance(m, ring, cap=args.cap, jobs=args.jobs).to_jsonable()
+    rep = scan_resonance(m, ring, cap=args.cap).to_jsonable()
     rep["verb"] = "scan"
     return rep
 
@@ -456,7 +456,7 @@ def _cmd_fit(args) -> dict:
     if not ring.is_field:
         raise ValueError("form fitting needs a field")
     g = _graph_arg(args, m)
-    scan = scan_component(g, m, ring, cap=args.cap, jobs=args.jobs)
+    scan = scan_component(g, m, ring, cap=args.cap)
     pts = scan.carrier
     if not pts:
         raise ValueError("empty carrier; nothing to fit")
@@ -525,7 +525,6 @@ def _add_matroid_ring(p, ring_default=None):
 def _add_scan_opts(p):
     p.add_argument("--cap", type=int, default=None,
                    help="membership-test budget (RESONANCE_LAB_CAP overrides default)")
-    p.add_argument("--jobs", type=int, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -29,8 +29,7 @@ evaluating a_lambda ∧ a_eta directly, line by line over all points at
 once through the ring's tables, and the same eta picks the point's graph
 (`_group_by_graph`, which reads nothing of the Smith or Howell forms).
 All caps are explicit; RESONANCE_LAB_CAP overrides the default
-budget.  Range splitting is deterministic, so reports are identical for any
-worker count.
+budget.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import itertools
 import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -78,23 +76,6 @@ def _budget(cap: Optional[int]) -> int:
     return int(env) if env else DEFAULT_CAP
 
 
-def _split_ranges(total: int, jobs: int) -> List[Tuple[int, int]]:
-    jobs = max(1, jobs)
-    step = (total + jobs - 1) // jobs
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _scan_all(L, ring, dim, nrows, ncols, total, jobs) -> np.ndarray:
-    ranges = _split_ranges(total, jobs)
-    if len(ranges) <= 1:
-        return _kernels.scan_nullities(L, ring, dim, nrows, ncols, 0, total)
-    with ThreadPoolExecutor(max_workers=len(ranges)) as pool:
-        parts = list(pool.map(
-            lambda r: _kernels.scan_nullities(L, ring, dim, nrows, ncols, *r),
-            ranges))
-    return np.concatenate(parts)
-
-
 # ---------------------------------------------------------------------------
 # resonance scans
 
@@ -119,8 +100,7 @@ class ScanReport:
     the weights the scan classified: every projective weight of F_q^n, or
     every nonzero tuple of (Z/N)^n.  Over a field the kernel eliminates only
     those of the hyperplane of sum zero and classifies the rest by the
-    coordinate-sum lemma.  `jobs` is the number of kernel threads that
-    ran."""
+    coordinate-sum lemma."""
     matroid_name: str
     ring_spec: str
     universe: int
@@ -128,7 +108,6 @@ class ScanReport:
     groups: Tuple[Tuple[Graph, Tuple[tuple, ...]], ...]
     seconds: float
     cap: int
-    jobs: int
 
     def to_jsonable(self) -> dict:
         return {
@@ -142,7 +121,6 @@ class ScanReport:
                        for g, pts in self.groups],
             "seconds": round(self.seconds, 3),
             "cap": self.cap,
-            "jobs": self.jobs,
         }
 
 
@@ -153,13 +131,16 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
     Fields classify one representative per projective class.  The digit
     kernel eliminates only the classes of the hyperplane of sum zero; every
     other class has dim Z(lambda) = 1 (proof in `_scan_resonance_field`).
-    `jobs` splits the hyperplane's candidates into that many ranges at
-    most, one thread each.  Z/N walks all nonzero tuples in
-    `itertools.product` order and reports a tuple when the batched kernel
-    over some prime-power factor calls its image resonant; only the
-    reported tuples take the exact module path, for their partner.  Every
-    reported point's partner is verified by direct wedge evaluation.
+    Z/N walks all nonzero tuples in `itertools.product` order and reports a
+    tuple when the batched kernel over some prime-power factor calls its
+    image resonant; only the reported tuples take the exact module path,
+    for their partner.  Every reported point's partner is verified by
+    direct wedge evaluation.  Scans run in one thread: `jobs` stays only
+    because the benchmark harness passes `jobs=1`, and any other value
+    raises `ValueError`.
     """
+    if jobs != 1:
+        raise ValueError(f"scans run in one thread, not jobs={jobs}")
     t0 = time.perf_counter()
     budget = _budget(cap)
     if ring.cardinality is None:
@@ -168,17 +149,16 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
         raise CapExceeded(
             f"{ring.cardinality}**{m.n} weights exceed the budget {budget}")
     if ring.is_field:
-        points, etas, workers = _scan_resonance_field(m, ring, jobs)
+        points, etas = _scan_resonance_field(m, ring)
         universe = _kernels.projective_total(ring.cardinality, m.n)
     elif isinstance(ring, IntegersModN):
         points, etas = _scan_resonance_modn(m, ring)
-        # the Z/N kernel scans each factor ring in one call
-        universe, workers = ring.cardinality ** m.n - 1, 1
+        universe = ring.cardinality ** m.n - 1
     else:
         raise ValueError(f"unsupported ring {ring.spec}")
     groups = _group_by_graph([p.lam for p in points], etas, m, ring)
     return ScanReport(m.name, ring.spec, universe, tuple(points), groups,
-                      time.perf_counter() - t0, budget, workers)
+                      time.perf_counter() - t0, budget)
 
 
 def _dlambda_digit_map(m: Matroid, ring: Ring) -> Tuple[np.ndarray, int, int]:
@@ -188,10 +168,9 @@ def _dlambda_digit_map(m: Matroid, ring: Ring) -> Tuple[np.ndarray, int, int]:
         lambda lam: dlambda_matrix(lam, m, ring).rows, basis, ring, m.n)
 
 
-def _scan_resonance_field(m: Matroid, ring: Ring, jobs: int
-                          ) -> Tuple[List[ScanPoint], List[tuple], int]:
-    """The resonant weights of a field scan, their partners, and the number
-    of candidate ranges the kernel ran.
+def _scan_resonance_field(m: Matroid, ring: Ring
+                          ) -> Tuple[List[ScanPoint], List[tuple]]:
+    """The resonant weights of a field scan and their partners.
 
     Only the hyperplane H = {s(lambda) = 0} is eliminated, s the coordinate
     sum, because no weight off H is resonant.  Proof: for a point k, sum
@@ -221,8 +200,8 @@ def _scan_resonance_field(m: Matroid, ring: Ring, jobs: int
     Frobenius.  lambda's first nonzero coordinate is c's, a one, so lambda
     is a canonical ambient point, and lambda and c order alike (by the
     leading one's position, then lexicographically, as lambda_n follows
-    from c); the hits are sorted by ambient candidate index all the same,
-    the order of the report.  Each hit's Z(lambda) then comes from one batched
+    from c), so the hits come in ambient candidate order, the order of the
+    report.  Each hit's Z(lambda) then comes from one batched
     reduced row echelon form of its ambient d_lambda
     (`_kernels.echelon_kernels`), exactly `kernel_field`'s basis; its
     dimension must equal the kernel nullity, and the partner is the first
@@ -232,24 +211,23 @@ def _scan_resonance_field(m: Matroid, ring: Ring, jobs: int
     _check_row_sums(L, m, ring)
     n, q = m.n, ring.cardinality
     if n == 1:  # H = 0
-        return [], [], 0
+        return [], []
     total = _kernels.projective_total(q, n - 1)
-    nullities = _scan_all(_hyperplane_map(L, ring, n, nr), ring, n - 1, nr,
-                          n - 1, total, jobs)
+    nullities = _kernels.scan_nullities(_hyperplane_map(L, ring, n, nr), ring,
+                                        n - 1, nr, n - 1, 0, total)
     hits = np.flatnonzero(nullities >= 2)
     coords = _kernels.decode_candidates(hits, q, n - 1)
     to_ambient = np.hstack([np.eye(n - 1, dtype=np.intp),
                             np.full((n - 1, 1), ring.neg(ring.one))])
     lams = _kernels.ring_product(coords, to_ambient, ring)
-    order = np.argsort(_kernels._encode_candidates(lams, q, n), kind="stable")
-    lams, dims = lams[order], nullities[hits][order]
+    dims = nullities[hits]
     etas = []
     for lo in range(0, len(lams), _ECHELON_CHUNK):
         hi = lo + _ECHELON_CHUNK
         etas += _echelon_partners(L, m, ring, lams[lo:hi], dims[lo:hi])
     points = [ScanPoint(lam, dim_z=d)
               for lam, d in zip(map(tuple, lams.tolist()), dims.tolist())]
-    return points, etas, len(_split_ranges(total, jobs))
+    return points, etas
 
 
 def _echelon_partners(L: np.ndarray, m: Matroid, ring: Ring,
@@ -362,8 +340,8 @@ _WALK_BLOCK = 1024
 # intp entries
 _ECHELON_CHUNK = 4096
 # reported weights per batched Smith replay: one pass of the modn-scan
-# benchmark jobs peaks at 33.8 MB with chunks of 128 and 41.7 MB with chunks
-# of 1024, against 33.7 MB with one Smith form per weight
+# benchmark workload peaks at 33.8 MB with chunks of 128 and 41.7 MB with
+# chunks of 1024, against 33.7 MB with one Smith form per weight
 _SMITH_CHUNK = 128
 
 
@@ -489,7 +467,11 @@ class ComponentScan:
 
 def scan_component(graph: Graph, m: Matroid, ring: Ring,
                    cap: Optional[int] = None, jobs: int = 1) -> ComponentScan:
-    """Classify every projective weight of K by its solution-space dimension."""
+    """Classify every projective weight of K by its solution-space dimension.
+    Scans run in one thread: `jobs` stays only because the benchmark
+    harness passes `jobs=1`, and any other value raises `ValueError`."""
+    if jobs != 1:
+        raise ValueError(f"scans run in one thread, not jobs={jobs}")
     t0 = time.perf_counter()
     budget = _budget(cap)
     if not ring.is_field or ring.cardinality is None:
@@ -507,7 +489,7 @@ def scan_component(graph: Graph, m: Matroid, ring: Ring,
     L, nr, nc = _kernels.build_digit_map(
         lambda lam: _k_rows(lam, graph, m, ring, K), kb, ring, dim_k)
     total = _kernels.projective_total(ring.cardinality, dim_k)
-    nullities = _scan_all(L, ring, dim_k, nr, nc, total, jobs)
+    nullities = _kernels.scan_nullities(L, ring, dim_k, nr, nc, 0, total)
     strata = tuple((d, int(c)) for d, c in enumerate(np.bincount(nullities))
                    if c)
     hits = np.flatnonzero(nullities >= 2)

@@ -61,7 +61,7 @@ def test_scan_text_counts_what_the_scan_walks(capsys, spec, head):
                      "--format", "json")
     rep = json.loads(out)
     assert set(rep) == {"matroid", "ring", "universe", "resonant_count",
-                        "points", "groups", "seconds", "cap", "jobs", "verb"}
+                        "points", "groups", "seconds", "cap", "verb"}
 
 
 def test_component_csv(capsys):
@@ -130,6 +130,9 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["resonant", "--matroid", "nonfano"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # scans run in one thread
+        main(["scan", "--matroid", "nonfano", "--ring", "F2", "--jobs", "2"])
     assert exc.value.code == 2
     capsys.readouterr()
 

@@ -55,11 +55,11 @@ def test_windows_starting_inside_an_orbit_glue(name, spec):
     g = cuts[-1]
     one = _kernels.scan_nullities(L, ring, m.n, nr, nc, g, g + 1)
     assert one.tolist() == [full[g]]
-    # split ranges as jobs= makes them
+    # equal cuts into 3, 4 and 5 windows
     for parts in (3, 4, 5):
-        assert np.array_equal(
-            _scan(L, ring, m.n, nr, nc, oracle._split_ranges(total, parts)),
-            full)
+        bounds = np.linspace(0, total, parts + 1).astype(int).tolist()
+        windows = list(zip(bounds, bounds[1:]))
+        assert np.array_equal(_scan(L, ring, m.n, nr, nc, windows), full)
 
 
 def _hessian_component_map(scale):

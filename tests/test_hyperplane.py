@@ -59,7 +59,8 @@ def test_a_weight_on_the_hyperplane_has_its_partners_there(name, spec):
 
 @pytest.mark.parametrize("name,spec", [("braid-K4", "F4"), ("nonfano", "F3"),
                                        ("deletedB3", "F2"), ("pencil-5", "F3"),
-                                       ("olive-samansky", "F2")])
+                                       ("olive-samansky", "F2"),
+                                       ("deletedB3", "F4")])
 def test_the_hyperplane_scan_finds_what_the_ambient_scan_finds(name, spec):
     m, ring = catalog(name), make_ring(spec)
     L, nr, nc = oracle._dlambda_digit_map(m, ring)
@@ -126,10 +127,9 @@ def test_one_and_two_points_have_no_resonance(n, spec):
     # H is 0 for n = 1, and a line for n = 2, where d_lambda restricted
     # to H has one column: no candidate can reach nullity 2
     m, ring = from_lines(n, [], f"free{n}"), make_ring(spec)
-    rep = oracle.scan_resonance(m, ring, jobs=4)
+    rep = oracle.scan_resonance(m, ring)
     assert rep.points == () and rep.groups == ()
     assert rep.universe == _kernels.projective_total(ring.cardinality, n)
-    assert rep.jobs == n - 1
     for lam in _projective(ring, n):
         assert len(z_of(lam, m, ring)) == 1
 
@@ -187,7 +187,7 @@ FIELD_SCANS = [("braid-K4", "F2"), ("braid-K4", "F3"), ("braid-K4", "F4"),
 @pytest.mark.parametrize("name,spec", FIELD_SCANS)
 def test_reported_points_take_z_of_dimension_and_partner(name, spec):
     m, ring = catalog(name), make_ring(spec)
-    points, etas, _ = oracle._scan_resonance_field(m, ring, 1)
+    points, etas = oracle._scan_resonance_field(m, ring)
     assert points
     for p, eta in zip(points, etas):
         basis = z_of(p.lam, m, ring)

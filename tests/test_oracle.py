@@ -88,26 +88,22 @@ def test_scan_cap_and_env(monkeypatch):
     assert scan_resonance(m, F2).cap == 10 ** 9
 
 
-def test_scan_jobs_deterministic():
-    m = catalog("nonfano")
-    F4 = make_ring("F4")
-    a = scan_resonance(m, F4, jobs=1).to_jsonable()
-    b = scan_resonance(m, F4, jobs=7).to_jsonable()
-    for rep in (a, b):
+def test_scans_run_in_one_thread():
+    # jobs=1 is accepted, and means what omitting it means; nothing else is
+    m, F4 = catalog("nonfano"), make_ring("F4")
+    g = parse_graph("127|3|4|5|6", m.n)
+    with pytest.raises(ValueError, match="one thread"):
+        scan_resonance(m, F4, jobs=2)
+    with pytest.raises(ValueError, match="one thread"):
+        scan_component(g, m, F4, jobs=2)
+    a = scan_resonance(m, F4).to_jsonable()
+    b = scan_resonance(m, F4, jobs=1).to_jsonable()
+    c = scan_component(g, m, F4).to_jsonable()
+    d = scan_component(g, m, F4, jobs=1).to_jsonable()
+    for rep in (a, b, c, d):
         rep.pop("seconds")
-        rep.pop("jobs")
-    assert a == b
-
-
-def test_scan_reports_the_worker_count_that_ran():
-    m = catalog("pencil-3")
-    # the kernel runs over the 3 projective points of the hyperplane of sum
-    # zero in F2^3, split into at most 3 ranges; all 7 are classified
-    rep = scan_resonance(m, make_ring("F2"), jobs=10)
-    assert (rep.jobs, rep.universe) == (3, 7)
-    assert scan_resonance(m, make_ring("F2"), jobs=2).jobs == 2
-    # the Z/N kernel never splits
-    assert scan_resonance(m, make_ring("Z4"), jobs=3).jobs == 1
+    assert a == b and c == d
+    assert "jobs" not in a
 
 
 def test_scan_z4_pencil_matches_rank_two_condition():
@@ -339,3 +335,20 @@ def test_regulus_counts():
     assert r5.carrier_count == 36 == r5.expected
     assert r5.all_depth_one
     assert regulus_check(F3).planes == r3.planes  # same seed, same planes
+
+
+def test_regulus_check_is_capped(monkeypatch):
+    monkeypatch.delenv("RESONANCE_LAB_CAP", raising=False)
+
+    def no_sampling(*args):
+        raise AssertionError("a plane was sampled before the cap check")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(oracle, "span", no_sampling)
+        with pytest.raises(CapExceeded):
+            regulus_check(make_ring("F257"))  # 257**4 > 10**8
+    monkeypatch.setenv("RESONANCE_LAB_CAP", "80")
+    with pytest.raises(CapExceeded):
+        regulus_check(make_ring("F3"))
+    monkeypatch.setenv("RESONANCE_LAB_CAP", "81")
+    assert regulus_check(make_ring("F3")).ok

@@ -9,8 +9,7 @@ import digit_map_reference as ref
 from resonance_lab import _kernels, oracle
 from resonance_lab.graphs import parse_graph
 from resonance_lab.matroid import catalog
-from resonance_lab.neighborly import CapExceeded, enumerate_neighborly, k_gamma
-from resonance_lab.oracle import regulus_check
+from resonance_lab.neighborly import enumerate_neighborly, k_gamma
 from resonance_lab.rings import Matrix, PrimeField, make_ring, rank_field
 
 HESSIAN_GRAPH = "123|456|789|αβγ"
@@ -96,7 +95,7 @@ def test_braid_k4_component_with_only_zero_rows():
     _check_candidates(g, m, ring, kb, nul, range(nul.size))
 
 
-def test_block_rank_sees_only_the_basis_rows(monkeypatch):
+def test_elimination_takes_the_sketch_then_the_nonzero_rows(monkeypatch):
     # dropping the zero rows and sketching is invisible to every nullity,
     # so record what the elimination receives and what it returns
     calls = []
@@ -179,20 +178,3 @@ def test_redundant_rows_change_no_nullity(name, spec):
     again = _kernels.scan_nullities(L2, ring, dim, nr2, nc, 0, total)
     assert np.array_equal(again, nul)
     assert (nul >= 2).any()
-
-
-def test_regulus_check_is_capped(monkeypatch):
-    monkeypatch.delenv("RESONANCE_LAB_CAP", raising=False)
-
-    def no_sampling(*args):
-        raise AssertionError("a plane was sampled before the cap check")
-
-    with monkeypatch.context() as mp:
-        mp.setattr(oracle, "span", no_sampling)
-        with pytest.raises(CapExceeded):
-            regulus_check(make_ring("F257"))  # 257**4 > 10**8
-    monkeypatch.setenv("RESONANCE_LAB_CAP", "80")
-    with pytest.raises(CapExceeded):
-        regulus_check(make_ring("F3"))
-    monkeypatch.setenv("RESONANCE_LAB_CAP", "81")
-    assert regulus_check(make_ring("F3")).ok
