@@ -88,7 +88,7 @@ def test_scan_cap_and_env(monkeypatch):
     assert scan_resonance(m, F2).cap == 10 ** 9
 
 
-def test_scans_run_in_one_thread():
+def test_scan_jobs_deterministic():
     # jobs=1 is accepted, and means what omitting it means; nothing else is
     m, F4 = catalog("nonfano"), make_ring("F4")
     g = parse_graph("127|3|4|5|6", m.n)
@@ -103,7 +103,15 @@ def test_scans_run_in_one_thread():
     for rep in (a, b, c, d):
         rep.pop("seconds")
     assert a == b and c == d
-    assert "jobs" not in a
+
+
+def test_scan_reports_the_worker_count_that_ran():
+    # every scan runs in one thread, so no report carries a worker count
+    m, F4 = catalog("nonfano"), make_ring("F4")
+    g = parse_graph("127|3|4|5|6", m.n)
+    for rep in (scan_resonance(m, F4, jobs=1), scan_component(g, m, F4)):
+        assert not hasattr(rep, "jobs")
+        assert "jobs" not in rep.to_jsonable()
 
 
 def test_scan_z4_pencil_matches_rank_two_condition():
