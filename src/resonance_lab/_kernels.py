@@ -60,18 +60,16 @@ row (2, 1) spans 4 elements, not 2.  `_min_valuations` gives the least
 valuation of each tuple's coordinates, which fixes the length of the
 parallel locus's row module.
 
-The weights a Z/N scan reports need an explicit partner, not a length.
-`_smith_kernels` gives each of them exactly the generator list
-`rings.kernel_modn` returns for its d_lambda: it replays the reference's
-integer Smith elimination of [d_lambda | N*I] on a whole chunk of weights in
-lockstep, one pass of the reference loop body per numpy round, in int64
-with a bound that hands the chunk's unfinished matrices back to
-`kernel_modn` before a product could overflow.  `_howell_forms` then
-replays `rings.howell_form` on the generators of the whole chunk at once,
-with the same pool order, merges and reverse-order reduction.  The weights
-a field scan reports get their Z(lambda) basis from `echelon_kernels`, one
-reduced row echelon form of all their systems at once, which gives each
-exactly the basis `rings.kernel_field` gives.
+The weights a scan reports need an explicit partner, and every ring gets
+it the same way: `_systems` builds the (B, R, n) stack of their systems,
+and one elimination of the stack returns (K, valid), a (B, n, n) stack of
+generators and its row mask.  Over F_q, `echelon_kernels` takes one
+reduced row echelon form, whose valid rows are `rings.kernel_field`'s
+basis.  Over Z/N, `_smith_kernels` replays the integer Smith form of
+[M | N*I] and `rings.howell_form` in lockstep, one pass of the reference
+loop body per numpy round, and hands the unfinished matrices back to
+`kernel_modn` before an int64 product could overflow; row c of K[b] is
+the generator of `kernel_modn` whose pivot is in column c.
 
 Candidates are numbered in one of two orders, with one decoder each.
 Tuples of (Z/q)^dim follow `itertools.product` order: tuple g has the
@@ -89,7 +87,7 @@ remainder theorem; the caller scans each factor and joins the answers.
 from __future__ import annotations
 
 import random
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -373,11 +371,15 @@ def _digits(coords: np.ndarray, p: int, kext: int) -> np.ndarray:
         B, dim * kext).astype(np.float64)
 
 
-def _field_systems(L: np.ndarray, ring: Ring, coords: np.ndarray,
-                   ncols: int) -> np.ndarray:
-    """The system matrices over F_q, through the digit map L of
+def _systems(L: np.ndarray, ring: Ring, coords: np.ndarray,
+             ncols: int) -> np.ndarray:
+    """The (B, R, ncols) system matrices, through the digit map L of
     `build_digit_map`, of the weights whose coordinate encodings are the
-    rows of coords."""
+    rows of coords: the scan kernel's digit product over F_q, one integer
+    product mod N over Z/N."""
+    if isinstance(ring, IntegersModN):
+        return (coords @ L.T % ring.n).reshape(
+            len(coords), L.shape[0] // ncols, ncols)
     p, kext, _ = field_params(ring)
     return _digit_systems(_digits(coords, p, kext), L.T.astype(np.float64),
                           ring, ncols)
@@ -388,10 +390,10 @@ def echelon_kernels(M: np.ndarray,
     """`rings.kernel_field` of every matrix of the (B, R, C) stack M over a
     finite field, from one reduced row echelon form of the whole stack.
 
-    Returns (K, free), with free (B, C) true at the columns of M[b] that
+    Returns (K, valid), with valid (B, C) true at the columns of M[b] that
     hold no pivot.  For such a column f, K[b, f] is the vector that
     `kernel_field` builds for f: one at f, minus the RREF row's entry f at
-    each pivot column, zero elsewhere; K[b][free[b]] is kernel_field(M[b])
+    each pivot column, zero elsewhere; K[b][valid[b]] is kernel_field(M[b])
     vector for vector, and the rows of K at pivot columns are zero.  The
     reduced row echelon form of a matrix is unique, so the basis does not
     depend on how the pivots are found; like `rings.rref_field`, each
@@ -420,14 +422,14 @@ def echelon_kernels(M: np.ndarray,
         M[b, r] = piv
         pivot_row[b, c] = r
         nxt[b] += 1
-    free = pivot_row < 0
+    valid = pivot_row < 0
     K = np.zeros((B, C, C), dtype=neg.dtype)
     # K[b, f, pc] = -(entry f of the RREF row that holds pivot column pc)
-    b, pc = np.nonzero(~free)
+    b, pc = np.nonzero(~valid)
     K[b, :, pc] = neg[M[b, pivot_row[b, pc]]]
-    K[~free] = 0
-    K[:, np.arange(C), np.arange(C)] = free
-    return K, free
+    K[~valid] = 0
+    K[:, np.arange(C), np.arange(C)] = valid
+    return K, valid
 
 
 def _check_self_kernel(rows: np.ndarray, ring: Ring, dim: int,
@@ -516,11 +518,12 @@ def _min_valuations(ring: Ring, dim: int) -> np.ndarray:
     return out.ravel()
 
 
-def _smith_kernels(L: np.ndarray, ring: IntegersModN, nrows: int, ncols: int,
-                   coords: np.ndarray) -> List[List[tuple]]:
-    """For each row of coords, the generators `kernel_modn` returns for its
-    system matrix (coords @ L.T) % N, with L a Z/N digit map: the Smith
-    form of every [M | N*I] of the chunk replayed in lockstep in int64.
+def _smith_kernels(mats: np.ndarray, ring: IntegersModN
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """`kernel_modn` of every matrix of the (B, R, n) int stack mats, as
+    (K, valid): row c of K[b] is the generator of kernel_modn(mats[b]) with
+    its pivot in column c, where valid[b, c], so the valid rows are its
+    list.  The Smith form of every [M | N*I] is replayed in lockstep.
 
     Each round runs one pass of the `smith_normal_form` loop body on every
     unfinished matrix at its own step t: the row-major first least |entry|
@@ -529,24 +532,23 @@ def _smith_kernels(L: np.ndarray, ring: IntegersModN, nrows: int, ncols: int,
     steps (each reads column t, which none of them changes; numpy's // floors
     like Python's), then either another pass on remainders or the fix-up
     that adds the first row holding an entry the pivot does not divide.
-    U is not kept, and V keeps only its first ncols rows, the ones
+    U is not kept, and V keeps only its first n rows, the ones
     `kernel_modn` reads: a column step acts on each row of V on its own.
     [M | N*I] has full row rank, so the pivots fill the diagonal and the
-    generators are the nonzero columns of V[:, nrows:] mod N; one call of
-    `_howell_forms` reduces those of the whole chunk.  Once an entry
+    generators are the nonzero columns of V[:, R:] mod N; one call of
+    `_howell_forms` reduces those of the whole stack.  Once an entry
     outgrows `_SMITH_BOUND`, the matrices still unfinished go to
-    `kernel_modn` one at a time.
+    `kernel_modn` one at a time, each row at its pivot column.
     """
-    N, R, n = ring.n, nrows, ncols
-    mats = (np.asarray(coords, dtype=np.int64) @ L.T % N).reshape(-1, R, n)
-    B, C = mats.shape[0], n + R
+    (B, R, n), N = mats.shape, ring.n
+    C = n + R
     A = np.zeros((B, R, C), dtype=np.int64)
     A[:, :, :n] = mats
     A[:, :, n:] = N * np.eye(R, dtype=np.int64)
     V = np.zeros((B, n, C), dtype=np.int64)
     V[:, :, :n] = np.eye(n, dtype=np.int64)
     t = np.zeros(B, dtype=np.int64)
-    idx = np.arange(B)  # chunk position of each unfinished matrix
+    idx = np.arange(B)  # stack position of each unfinished matrix
     G = np.zeros((B, n, n), dtype=np.int64)  # generator rows by position
     rows, cols = np.arange(R), np.arange(C)
     # a pivot key per entry: |a| - 1 as uint64 (so 0 wraps to the top),
@@ -588,18 +590,16 @@ def _smith_kernels(L: np.ndarray, ring: IntegersModN, nrows: int, ncols: int,
         t = np.where(dirty | fix, t, t + 1)
         fin = t == R
         if fin.any():
-            # the generators: the columns of V[:, nrows:] mod N, as rows
+            # the generators: the columns of V[:, R:] mod N, as rows
             G[idx[fin]] = V[fin][:, :, R:].transpose(0, 2, 1) % N
             keep = ~fin
             A, V, t, idx = A[keep], V[keep], t[keep], idx[keep]
-    H = _howell_forms(G, N)
-    nz = H.any(2)  # the pivot rows of each form, in pivot order
-    flat = list(map(tuple, H[nz].tolist()))
-    ends = np.cumsum(nz.sum(1)).tolist()
-    done = [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    K = _howell_forms(G, N)
     for b in idx.tolist():
-        done[b] = kernel_modn(Matrix.from_rows(ring, mats[b].tolist(), width=n))
-    return done
+        for row in kernel_modn(Matrix.from_rows(ring, mats[b].tolist(),
+                                                width=n)):
+            K[b, np.flatnonzero(row)[0]] = row
+    return K, K.any(2)
 
 
 def _howell_forms(G: np.ndarray, N: int) -> np.ndarray:

@@ -503,7 +503,9 @@ def component_report(graph: Graph, m: Matroid, ring: Ring,
         except CapExceeded:
             capped = True
     for lam, _ in pairs:
-        assert v1_contains(lam, graph, m, ring, cap=cap)
+        if not v1_contains(lam, graph, m, ring, cap=cap):
+            raise AssertionError(f"sampled weight {lam} is not in the "
+                                 f"component of {graph}")
     if k_basis:
         supp = sorted({i + 1 for b in k_basis for i, x in enumerate(b)
                        if x != ring.zero})

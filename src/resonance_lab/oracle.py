@@ -2,32 +2,29 @@
 stratification, vanishing-form interpolation, and the regulus demo.
 
 Scans classify one representative per projective class over fields (first
-nonzero coordinate one) and every nonzero tuple over Z/N.  Over a field a
-weight is resonant iff its kernel nullity is at least 2, and a weight whose
-coordinate sum is nonzero has nullity exactly 1 (proof in
-`_scan_resonance_field`), so the kernel eliminates only the projective
-points of the hyperplane of sum zero, q times fewer than all of them.
-Each reported field weight's Z(lambda) then comes from one batched
-reduced row echelon form of its d_lambda (`_kernels.echelon_kernels`, the
-basis `kernel_field` gives); its dimension must equal the kernel nullity.
-Over Z/N a weight is resonant iff Z(lambda) is larger than its parallel
-locus P(lambda); both split over the prime-power factors p^k of N, so the
-batched kernel decides every tuple of each factor ring once, and a weight
-is reported when some factor of it is resonant.  The kernel eliminates
-d_lambda alone: P(lambda) has a closed form, cut out by a row module of
-length (n - 1)(k - v) with v the least p-adic valuation of lambda's
-coordinates (proof in `_resonant_mask`).  Each reported Z/N point's
-Z(lambda) is then computed once on the exact module path and must hold a
-partner that is not parallel to lambda.
-Over Z/N the reported weights go in chunks of `_SMITH_CHUNK` to
-`_kernels._smith_kernels`, which replays the integer Smith form and the
-Howell form of `kernel_modn` on the whole chunk in numpy and returns,
-weight for weight, the same Howell generators; each weight's partner is
-the first of them with a nonzero 2x2 minor against lambda, picked for the
-chunk in one array pass.  Every point's partner eta is then checked by
-evaluating a_lambda ∧ a_eta directly, line by line over all points at
-once through the ring's tables, and the same eta picks the point's graph
-(`_group_by_graph`, which reads nothing of the Smith or Howell forms).
+nonzero coordinate one) and every nonzero tuple over Z/N, from one digit
+map of lambda -> d_lambda per scan.  Over a field a weight is resonant iff
+its kernel nullity is at least 2, and a weight whose coordinate sum is
+nonzero has nullity exactly 1 (proof in `_scan_resonance_field`), so the
+kernel eliminates only the projective points of the hyperplane of sum
+zero, q times fewer than all of them.  Over Z/N a weight is resonant iff
+Z(lambda) is larger than its parallel locus P(lambda); both split over the
+prime-power factors p^k of N, so the batched kernel decides every tuple of
+each factor ring once, on the scan's digit map reduced mod p^k, and a
+weight is reported when some factor of it is resonant.  The kernel
+eliminates d_lambda alone: P(lambda) has a closed form, cut out by a row
+module of length (n - 1)(k - v) with v the least p-adic valuation of
+lambda's coordinates (proof in `_resonant_mask`).
+
+The reported weights of both rings take one hit stage, `_partners`, in
+chunks of `_HIT_CHUNK`: one batched elimination of each chunk's d_lambda
+gives every weight its Z(lambda) generators, `kernel_field`'s basis over
+F_q (its size must equal the kernel nullity) and `kernel_modn`'s Howell
+generators over Z/N, and its partner eta is the first of them with a
+nonzero 2x2 minor against lambda.  Every partner is then checked by
+evaluating a_lambda ∧ a_eta directly, over all points at once through the
+ring's tables, and the same eta picks the point's graph
+(`_group_by_graph`, which reads nothing of the eliminations).
 All caps are explicit; RESONANCE_LAB_CAP overrides the default
 budget.
 """
@@ -133,8 +130,9 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
     other class has dim Z(lambda) = 1 (proof in `_scan_resonance_field`).
     Z/N walks all nonzero tuples in `itertools.product` order and reports a
     tuple when the batched kernel over some prime-power factor calls its
-    image resonant; only the reported tuples take the exact module path,
-    for their partner.  Every reported point's partner is verified by
+    image resonant.  The scan builds the digit map of d_lambda once, and
+    the reported weights of both rings take their partner from one hit
+    stage (`_partners`).  Every reported point's partner is verified by
     direct wedge evaluation.  Scans run in one thread: `jobs` stays only
     because the benchmark harness passes `jobs=1`, and any other value
     raises `ValueError`.
@@ -148,16 +146,23 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
     if ring.cardinality ** m.n > budget:
         raise CapExceeded(
             f"{ring.cardinality}**{m.n} weights exceed the budget {budget}")
-    if ring.is_field:
-        points, etas = _scan_resonance_field(m, ring)
-        universe = _kernels.projective_total(ring.cardinality, m.n)
-    elif isinstance(ring, IntegersModN):
-        points, etas = _scan_resonance_modn(m, ring)
-        universe = ring.cardinality ** m.n - 1
-    else:
+    if not (ring.is_field or isinstance(ring, IntegersModN)):
         raise ValueError(f"unsupported ring {ring.spec}")
+    L, nr, _ = _dlambda_digit_map(m, ring)
+    if ring.is_field:
+        lams, dims = _scan_resonance_field(m, ring, L, nr)
+        universe = _kernels.projective_total(ring.cardinality, m.n)
+    else:
+        lams, dims = _scan_resonance_modn(m, ring, L), None
+        universe = ring.cardinality ** m.n - 1
+    etas = _partners(L, ring, lams, dims)
+    # a field point reports dim Z(lambda), a Z/N point its witness
+    none = [None] * len(etas)
+    points = tuple(map(ScanPoint, map(tuple, lams.tolist()),
+                       none if dims is None else dims.tolist(),
+                       etas if dims is None else none))
     groups = _group_by_graph([p.lam for p in points], etas, m, ring)
-    return ScanReport(m.name, ring.spec, universe, tuple(points), groups,
+    return ScanReport(m.name, ring.spec, universe, points, groups,
                       time.perf_counter() - t0, budget)
 
 
@@ -168,9 +173,11 @@ def _dlambda_digit_map(m: Matroid, ring: Ring) -> Tuple[np.ndarray, int, int]:
         lambda lam: dlambda_matrix(lam, m, ring).rows, basis, ring, m.n)
 
 
-def _scan_resonance_field(m: Matroid, ring: Ring
-                          ) -> Tuple[List[ScanPoint], List[tuple]]:
-    """The resonant weights of a field scan and their partners.
+def _scan_resonance_field(m: Matroid, ring: Ring, L: np.ndarray, nr: int
+                          ) -> Tuple[np.ndarray, np.ndarray]:
+    """The resonant weights of a field scan, as the rows of an int array in
+    report order, and their kernel nullities, from the digit map L of
+    d_lambda with nr rows.
 
     Only the hyperplane H = {s(lambda) = 0} is eliminated, s the coordinate
     sum, because no weight off H is resonant.  Proof: for a point k, sum
@@ -201,17 +208,12 @@ def _scan_resonance_field(m: Matroid, ring: Ring
     is a canonical ambient point, and lambda and c order alike (by the
     leading one's position, then lexicographically, as lambda_n follows
     from c), so the hits come in ambient candidate order, the order of the
-    report.  Each hit's Z(lambda) then comes from one batched
-    reduced row echelon form of its ambient d_lambda
-    (`_kernels.echelon_kernels`), exactly `kernel_field`'s basis; its
-    dimension must equal the kernel nullity, and the partner is the first
-    basis vector not parallel to lambda.
+    report.
     """
-    L, nr, _ = _dlambda_digit_map(m, ring)
     _check_row_sums(L, m, ring)
     n, q = m.n, ring.cardinality
     if n == 1:  # H = 0
-        return [], []
+        return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.uint8)
     total = _kernels.projective_total(q, n - 1)
     nullities = _kernels.scan_nullities(_hyperplane_map(L, ring, n, nr), ring,
                                         n - 1, nr, n - 1, 0, total)
@@ -219,36 +221,7 @@ def _scan_resonance_field(m: Matroid, ring: Ring
     coords = _kernels.decode_candidates(hits, q, n - 1)
     to_ambient = np.hstack([np.eye(n - 1, dtype=np.intp),
                             np.full((n - 1, 1), ring.neg(ring.one))])
-    lams = _kernels.ring_product(coords, to_ambient, ring)
-    dims = nullities[hits]
-    etas = []
-    for lo in range(0, len(lams), _ECHELON_CHUNK):
-        hi = lo + _ECHELON_CHUNK
-        etas += _echelon_partners(L, m, ring, lams[lo:hi], dims[lo:hi])
-    points = [ScanPoint(lam, dim_z=d)
-              for lam, d in zip(map(tuple, lams.tolist()), dims.tolist())]
-    return points, etas
-
-
-def _echelon_partners(L: np.ndarray, m: Matroid, ring: Ring,
-                      lams: np.ndarray, dims: np.ndarray) -> List[tuple]:
-    """For each row of lams, the first vector of its Z(lambda) basis (the
-    one `kernel_field` gives) that is not parallel to lambda, from one
-    batched elimination of the d_lambda; raises `ValueError` unless each
-    basis has dims[b] vectors."""
-    n = m.n
-    mats = _kernels._field_systems(L, ring, lams, n)
-    K, free = _kernels.echelon_kernels(mats, ring)
-    found = free.sum(1)
-    bad = np.flatnonzero(found != dims)
-    if bad.size:
-        b = bad[0]
-        lam = tuple(lams[b].tolist())
-        raise ValueError(f"kernel nullity {dims[b]} of {lam} disagrees with "
-                         f"dim Z = {found[b]}")
-    moving = free & _minors(np.repeat(lams, n, axis=0), K.reshape(-1, n),
-                            ring).any(1).reshape(free.shape)
-    return list(map(tuple, K[np.arange(len(K)), moving.argmax(1)].tolist()))
+    return _kernels.ring_product(coords, to_ambient, ring), nullities[hits]
 
 
 def _row_sum_matrix(m: Matroid) -> np.ndarray:
@@ -295,11 +268,15 @@ def _hyperplane_map(L: np.ndarray, ring: Ring, n: int, nr: int) -> np.ndarray:
     return (A % p).reshape(nr * (n - 1) * kext, (n - 1) * kext)
 
 
-def _scan_resonance_modn(m: Matroid, ring: IntegersModN
-                         ) -> Tuple[List[ScanPoint], List[tuple]]:
+def _scan_resonance_modn(m: Matroid, ring: IntegersModN,
+                         L: np.ndarray) -> np.ndarray:
+    """The resonant weights of a Z/N scan, the rows of an int64 array in
+    `itertools.product` order: those whose image in some prime-power factor
+    Z/q is resonant.  L, the Z/N digit map of d_lambda, is the Z/q map mod
+    q, since q divides N and d_lambda is integer-linear in lambda."""
     N, n = ring.n, m.n
     powers = np.arange(n - 1, -1, -1, dtype=np.int64)
-    factors = [(p ** k, _resonant_mask(m, IntegersModN(p ** k)))
+    factors = [(p ** k, _resonant_mask(m, IntegersModN(p ** k), L % p ** k))
                for p, k in prime_power_factors(N)]
     hits = []
     for lo in range(1, N ** n, _WALK_BLOCK):
@@ -309,44 +286,56 @@ def _scan_resonance_modn(m: Matroid, ring: IntegersModN
         for q, mask in factors:
             hit |= mask[(coords % q) @ q ** powers]
         hits.append(coords[hit])
-    hits = np.concatenate(hits)
-    L, nr, nc = _dlambda_digit_map(m, ring)
-    points, etas = [], []
-    for lo in range(0, len(hits), _SMITH_CHUNK):
-        chunk = hits[lo:lo + _SMITH_CHUNK]
-        gens = _kernels._smith_kernels(L, ring, nr, nc, chunk)
-        # every generator of the chunk in one array, with its weight's row
-        flat = [g for zb in gens for g in zb]
-        owner = np.repeat(np.arange(len(gens)), [len(zb) for zb in gens])
-        moving = _minors(chunk[owner], np.reshape(flat, (-1, n)),
-                         ring).any(1)
-        # the first generator of each weight with a nonzero minor
-        first = np.flatnonzero(moving)
-        owners, at = np.unique(owner[first], return_index=True)
-        if owners.size < len(gens):
-            b = np.setdiff1d(np.arange(len(gens)), owners)[0]
-            lam = tuple(chunk[b].tolist())
+    return np.concatenate(hits)
+
+
+def _partners(L: np.ndarray, ring: Ring, lams: np.ndarray,
+              dims: Optional[np.ndarray]) -> List[tuple]:
+    """The partner of each weight, the rows of lams: the first of its
+    Z(lambda) generators with a nonzero 2x2 minor against lambda.  Each
+    chunk of `_HIT_CHUNK` takes its d_lambda stack from `_kernels._systems`
+    and (K, valid) from `_kernels.echelon_kernels` over a field or
+    `_kernels._smith_kernels` over Z/N.  Raises `ValueError`, naming
+    lambda, when a field weight does not have dims[b] (its nullity)
+    generators, or when all of a weight's generators are parallel to it."""
+    n = lams.shape[1]
+    kernels = (_kernels.echelon_kernels if ring.is_field
+               else _kernels._smith_kernels)
+    etas = []
+    for lo in range(0, len(lams), _HIT_CHUNK):
+        chunk = lams[lo:lo + _HIT_CHUNK]
+        K, valid = kernels(_kernels._systems(L, ring, chunk, n), ring)
+        if dims is not None:
+            found = valid.sum(1)
+            bad = np.flatnonzero(found != dims[lo:lo + _HIT_CHUNK])
+            if bad.size:
+                b = bad[0]
+                raise ValueError(f"kernel nullity {dims[lo + b]} of "
+                                 f"{tuple(chunk[b].tolist())} disagrees with "
+                                 f"dim Z = {found[b]}")
+        minors = _minors(np.repeat(chunk, n, axis=0), K.reshape(-1, n), ring)
+        moving = valid & minors.any(1).reshape(valid.shape)
+        lost = np.flatnonzero(~moving.any(1))
+        if lost.size:
+            lam = tuple(chunk[lost[0]].tolist())
             raise ValueError(f"the batched kernel calls {lam} resonant, "
-                             f"which disagrees with its Howell generators")
-        for lam, i in zip(map(tuple, chunk.tolist()), first[at].tolist()):
-            points.append(ScanPoint(lam, witness=flat[i]))
-            etas.append(flat[i])
-    return points, etas
+                             f"which disagrees with its generators")
+        etas += map(tuple, K[np.arange(len(K)), moving.argmax(1)].tolist())
+    return etas
 
 
 _WALK_BLOCK = 1024
-# reported field weights per batched echelon form: a scan of pencil-n
-# reports every point of H, and one (B, R, n) stack of them holds B * R * n
-# intp entries
-_ECHELON_CHUNK = 4096
-# reported weights per batched Smith replay: one pass of the modn-scan
-# benchmark workload peaks at 33.8 MB with chunks of 128 and 41.7 MB with
-# chunks of 1024, against 33.7 MB with one Smith form per weight
-_SMITH_CHUNK = 128
+# reported weights per batched elimination of the hit stage: one pass of
+# the modn-scan benchmark workload peaks at 33.8 MB with chunks of 128 and
+# 41.7 MB with chunks of 1024, against 33.7 MB with one Smith form per
+# weight
+_HIT_CHUNK = 128
 
 
-def _resonant_mask(m: Matroid, ring: IntegersModN) -> np.ndarray:
-    """Resonance of every tuple of (Z/p^k)^n, in `itertools.product` order.
+def _resonant_mask(m: Matroid, ring: IntegersModN,
+                   L: np.ndarray) -> np.ndarray:
+    """Resonance of every tuple of (Z/p^k)^n, in `itertools.product` order,
+    from the digit map L of d_lambda over Z/p^k.
 
     Each row of d_lambda is a sum of 2x2 minors of [lambda | eta], so the
     parallel locus P(lambda), cut out by the minors rows, lies inside
@@ -361,8 +350,8 @@ def _resonant_mask(m: Matroid, ring: IntegersModN) -> np.ndarray:
     mu_j r_i.  Over a field (k = 1) this reads rank d_lambda < n - 1.
     """
     k = _kernels.chain_params(ring)[1]
-    L, nr, nc = _dlambda_digit_map(m, ring)
-    z_len = _kernels.scan_lengths(L, ring, m.n, nr, nc, 0, ring.n ** m.n)
+    z_len = _kernels.scan_lengths(L, ring, m.n, len(L) // m.n, m.n, 0,
+                                  ring.n ** m.n)
     return z_len < (m.n - 1) * (k - _kernels._min_valuations(ring, m.n))
 
 
@@ -414,8 +403,8 @@ def _group_by_graph(lams: Sequence, etas: Sequence, m: Matroid, ring: Ring
     edges = list(zip((iu + 1).tolist(), (ju + 1).tolist()))
     # a resonant pair's graph always picks up every trivial line
     for t in m.trivial_lines:
-        assert vanish[:, edges.index(t)].all(), \
-            f"trivial line {t} missing from pair graph"
+        if not vanish[:, edges.index(t)].all():
+            raise AssertionError(f"trivial line {t} missing from pair graph")
     _, first, group = np.unique(np.packbits(vanish, axis=1), axis=0,
                                 return_index=True, return_inverse=True)
     order = np.argsort(group.ravel(), kind="stable").tolist()
@@ -565,7 +554,8 @@ def fit_forms(points: Sequence[Sequence], ring: Ring, degree: int) -> FormFit:
         for p in pts:
             val = ring.sum(ring.mul(c, _eval_monomial(p, e, ring))
                            for c, e in zip(b, monos))
-            assert val == ring.zero, "interpolated form fails to vanish"
+            if val != ring.zero:
+                raise AssertionError("interpolated form fails to vanish")
     return FormFit(nvars - 1, degree, len(basis), tuple(monos), tuple(basis))
 
 

@@ -132,7 +132,8 @@ def pair_graph(lam: Sequence, eta: Sequence, m: Matroid, ring: Ring) -> Graph:
     g = _minor_graph(lam, eta, ring)
     # a resonant pair's graph always picks up every trivial line
     for t in m.trivial_lines:
-        assert t in g.edges, f"trivial line {t} missing from pair graph"
+        if t not in g.edges:
+            raise AssertionError(f"trivial line {t} missing from pair graph")
     return g
 
 

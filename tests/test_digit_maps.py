@@ -12,7 +12,7 @@ from resonance_lab.graphs import parse_graph
 from resonance_lab.matroid import catalog
 from resonance_lab.neighborly import enumerate_neighborly, k_gamma
 from resonance_lab.osalg import dlambda_matrix
-from resonance_lab.rings import make_ring
+from resonance_lab.rings import make_ring, prime_power_factors
 
 
 def _scan_map(g, m, ring, kb):
@@ -72,6 +72,18 @@ def test_dlambda_maps_match_the_reference(name, spec):
     rL, rnr, rnc = ref.digit_map(
         lambda lam: dlambda_matrix(lam, m, ring).rows, basis, ring, m.n)
     assert (nr, nc) == (rnr, rnc) and np.array_equal(L, rL)
+
+
+@pytest.mark.parametrize("name", ["braid-K4", "pencil-5", "nonfano",
+                                  "deletedB3", "hessian"])
+@pytest.mark.parametrize("N", [4, 6, 12, 36])
+def test_a_factor_map_is_the_zn_map_reduced(name, N):
+    # a Z/N scan hands each prime-power factor Z/q its own map reduced mod q
+    m = catalog(name)
+    L, nr, nc = oracle._dlambda_digit_map(m, make_ring(f"Z{N}"))
+    for p, k in prime_power_factors(N):
+        Lq, nrq, ncq = oracle._dlambda_digit_map(m, make_ring(f"Z{p ** k}"))
+        assert (nrq, ncq) == (nr, nc) and np.array_equal(Lq, L % p ** k)
 
 
 def test_digit_split_of_unreduced_and_negative_entries():

@@ -60,7 +60,7 @@ def _full_scan(kb, ring, L, nr, nc):
     return _kernels.scan_nullities(L, ring, len(kb), nr, nc, 0, total)
 
 
-def test_hessian_f9_component_on_a_row_basis():
+def test_hessian_f9_component_nullities_match_exact_ranks():
     g, m, ring, kb, L, nr, nc = _component_map(HESSIAN_GRAPH, "hessian", "F9")
     assert (nr, nc) == (48, 6) and _digit_rank(L, nr, ring) == 9
     nul = _full_scan(kb, ring, L, nr, nc)

@@ -9,7 +9,8 @@ import pytest
 from group_reference import group_by_graph
 from resonance_lab import _kernels, oracle
 from resonance_lab.matroid import catalog
-from resonance_lab.osalg import is_resonant, wedge_is_zero, z_of
+from resonance_lab.osalg import (dlambda_matrix, is_resonant, wedge_is_zero,
+                                 z_of)
 from resonance_lab.rings import is_parallel, make_ring
 
 
@@ -93,25 +94,34 @@ def test_witness_is_the_first_generator_not_parallel_to_lambda(name, spec):
     L, nr, nc = oracle._dlambda_digit_map(m, ring)
     lams = np.array([p.lam for p in rep.points])
     for lo in range(0, len(lams), 128):
-        gens = _kernels._smith_kernels(L, ring, nr, nc, lams[lo:lo + 128])
-        for p, zb in zip(rep.points[lo:lo + 128], gens):
-            assert p.witness == next(g for g in zb
+        K, valid = _kernels._smith_kernels(
+            _kernels._systems(L, ring, lams[lo:lo + 128], nc), ring)
+        for p, zb, ok in zip(rep.points[lo:lo + 128], K.tolist(), valid):
+            gens = [tuple(g) for g, v in zip(zb, ok) if v]
+            assert p.witness == next(g for g in gens
                                      if not is_parallel(p.lam, g, ring))
 
 
 def test_a_weight_whose_generators_are_all_parallel_is_named(monkeypatch):
     m, ring = catalog("braid-K4"), make_ring("Z4")
+    # the sixth weight of the first chunk keeps only itself
+    lam = oracle.scan_resonance(m, ring).points[5].lam
     real = _kernels._smith_kernels
-    named = []
+    calls = []
 
-    def parallel_only(L, ring, nrows, ncols, coords):
-        gens = real(L, ring, nrows, ncols, coords)
-        if not named:  # the sixth weight of the first chunk keeps only itself
-            named.append(tuple(coords[5].tolist()))
-            gens[5] = [named[0]]
-        return gens
+    def parallel_only(mats, ring):
+        K, valid = real(mats, ring)
+        if not calls:
+            assert mats[5].tolist() == [
+                list(r) for r in dlambda_matrix(lam, m, ring).rows]
+            lead = next(i for i, x in enumerate(lam) if x)
+            K[5], valid[5] = 0, False
+            K[5, lead], valid[5, lead] = lam, True
+        calls.append(1)
+        return K, valid
 
     monkeypatch.setattr(_kernels, "_smith_kernels", parallel_only)
     with pytest.raises(ValueError, match="disagrees") as exc:
         oracle.scan_resonance(m, ring)
-    assert str(named[0]) in str(exc.value)
+    assert calls == [1]
+    assert str(lam) in str(exc.value)

@@ -187,8 +187,13 @@ FIELD_SCANS = [("braid-K4", "F2"), ("braid-K4", "F3"), ("braid-K4", "F4"),
 @pytest.mark.parametrize("name,spec", FIELD_SCANS)
 def test_reported_points_take_z_of_dimension_and_partner(name, spec):
     m, ring = catalog(name), make_ring(spec)
-    points, etas = oracle._scan_resonance_field(m, ring)
+    L, nr, _ = oracle._dlambda_digit_map(m, ring)
+    lams, dims = oracle._scan_resonance_field(m, ring, L, nr)
+    etas = oracle._partners(L, ring, lams, dims)
+    points = oracle.scan_resonance(m, ring).points
     assert points
+    assert [(p.lam, p.dim_z) for p in points] == list(
+        zip(map(tuple, lams.tolist()), dims.tolist()))
     for p, eta in zip(points, etas):
         basis = z_of(p.lam, m, ring)
         assert p.dim_z == len(basis)
@@ -198,7 +203,7 @@ def test_reported_points_take_z_of_dimension_and_partner(name, spec):
 def test_chunked_echelon_forms_give_the_same_report(monkeypatch):
     m, ring = catalog("deletedB3"), make_ring("F3")
     whole = oracle.scan_resonance(m, ring).to_jsonable()
-    monkeypatch.setattr(oracle, "_ECHELON_CHUNK", 5)
+    monkeypatch.setattr(oracle, "_HIT_CHUNK", 5)
     calls = []
     real = _kernels.echelon_kernels
     monkeypatch.setattr(_kernels, "echelon_kernels",

@@ -165,16 +165,24 @@ def test_scan_modn_raises_on_partner_outside_z(monkeypatch):
     assert not wedge_is_zero(bad_lam, bad_eta, m, Z4)
     assert not is_parallel(bad_lam, bad_eta, Z4)
 
+    # lambda -> d_lambda is injective on pencil-3, so the stack names it
+    bad_mat = np.array(osalg.dlambda_matrix(bad_lam, m, Z4).rows)
     real = _kernels._smith_kernels
+    replaced = []
 
-    def wrong_z(L, ring, nrows, ncols, coords):
-        gens = real(L, ring, nrows, ncols, coords)
-        return [[bad_eta] if tuple(lam) == bad_lam else z
-                for lam, z in zip(coords.tolist(), gens)]
+    def wrong_z(mats, ring):
+        K, valid = real(mats, ring)
+        for b in np.flatnonzero((mats == bad_mat).all((1, 2))):
+            # bad_eta becomes the only generator, at its pivot column
+            K[b], valid[b] = 0, False
+            K[b, 1], valid[b, 1] = bad_eta, True
+            replaced.append(b)
+        return K, valid
 
     monkeypatch.setattr(_kernels, "_smith_kernels", wrong_z)
     with pytest.raises(ValueError, match="not resonant"):
         scan_resonance(m, Z4)
+    assert len(replaced) == 1
 
 
 def test_scan_modn_raises_when_mask_disagrees_with_z(monkeypatch):
@@ -245,20 +253,22 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_scan_computes_each_z_once(monkeypatch):
-    rows = []
+    mats = []
     real = _kernels._smith_kernels
 
-    def counted(L, ring, nrows, ncols, coords):
-        rows.extend(coords.tolist())
-        return real(L, ring, nrows, ncols, coords)
+    def counted(stack, ring):
+        mats.extend(stack.tolist())
+        return real(stack, ring)
 
     monkeypatch.setattr(_kernels, "_smith_kernels", counted)
     modn = _count_calls(monkeypatch, osalg, "kernel_modn")
     modn_fallback = _count_calls(monkeypatch, _kernels, "kernel_modn")
     field = _count_calls(monkeypatch, osalg, "kernel_field")
-    rep = scan_resonance(catalog("pencil-3"), make_ring("Z4"))
-    assert len(rows) == len(rep.points) == 27
-    assert [tuple(r) for r in rows] == [p.lam for p in rep.points]
+    m, Z4 = catalog("pencil-3"), make_ring("Z4")
+    rep = scan_resonance(m, Z4)
+    assert len(mats) == len(rep.points) == 27
+    assert mats == [[list(r) for r in osalg.dlambda_matrix(p.lam, m, Z4).rows]
+                    for p in rep.points]
     assert not modn and not modn_fallback
     assert not field
     # a field scan takes every Z(lambda) from one batched echelon form
@@ -269,6 +279,15 @@ def test_scan_computes_each_z_once(monkeypatch):
     assert len(rep.points) > 0
     assert not field and not z and not direct
     assert len(echelon) == 1
+
+
+@pytest.mark.parametrize("spec", ["Z4", "Z6", "Z12"])
+def test_a_modn_scan_builds_one_digit_map(monkeypatch, spec):
+    # the prime-power factors take the Z/N map reduced mod p^k
+    maps = _count_calls(monkeypatch, _kernels, "build_digit_map")
+    rep = scan_resonance(catalog("pencil-4"), make_ring(spec))
+    assert rep.points
+    assert len(maps) == 1
 
 
 def test_scan_component_braid_f5():

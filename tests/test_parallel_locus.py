@@ -58,7 +58,8 @@ def test_parallel_locus_has_the_closed_form_size(name, q):
     assert np.array_equal(P, p ** (k * n - (n - 1) * (k - v)))
     Z = _z_counts(m, ring)
     assert (Z >= P).all()  # P(lambda) lies inside Z(lambda)
-    mask = oracle._resonant_mask(m, ring)
+    L = oracle._dlambda_digit_map(m, ring)[0]
+    mask = oracle._resonant_mask(m, ring, L)
     assert np.array_equal(mask, Z > P)
     assert mask.any() and not mask.all()
 
@@ -86,4 +87,5 @@ def test_mask_matches_the_stacked_minors_system(name):
     p_len = _kernels.scan_lengths(L, ring, n, nr, nc, 0, total)
     v = _kernels._min_valuations(ring, n)
     assert np.array_equal(p_len, (n - 1) * (2 - v.astype(np.int64)))
-    assert np.array_equal(oracle._resonant_mask(m, ring), z_len < p_len)
+    Ld = oracle._dlambda_digit_map(m, ring)[0]
+    assert np.array_equal(oracle._resonant_mask(m, ring, Ld), z_len < p_len)

@@ -1,5 +1,6 @@
 """The batched Smith replay behind Z/N scan witnesses: for every weight it
-must return exactly the generator list `kernel_modn` returns for d_lambda."""
+must return exactly the generator list `kernel_modn` returns for d_lambda,
+each generator in the row of its pivot column."""
 
 import random
 
@@ -12,12 +13,27 @@ from resonance_lab.osalg import dlambda_matrix, is_resonant
 from resonance_lab.rings import Matrix, kernel_modn, make_ring
 
 
+def _lists(K, valid):
+    """The generator list of each (K[b], valid[b]), once every valid row c
+    is checked to have its pivot in column c and every other row to be
+    zero."""
+    out = []
+    for rows, ok in zip(K.tolist(), valid.tolist()):
+        assert not any(any(r) for r, v in zip(rows, ok) if not v)
+        gens = [tuple(r) for r, v in zip(rows, ok) if v]
+        assert [next(i for i, x in enumerate(g) if x) for g in gens] == [
+            c for c, v in enumerate(ok) if v]
+        out.append(gens)
+    return out
+
+
 def _batched(m, ring, lams, chunk=128):
     L, nr, nc = oracle._dlambda_digit_map(m, ring)
     coords = np.asarray(lams, dtype=np.int64).reshape(-1, m.n)
     out = []
     for lo in range(0, len(coords), chunk):
-        out += _kernels._smith_kernels(L, ring, nr, nc, coords[lo:lo + chunk])
+        mats = _kernels._systems(L, ring, coords[lo:lo + chunk], nc)
+        out += _lists(*_kernels._smith_kernels(mats, ring))
     return out
 
 
@@ -75,12 +91,47 @@ def test_entries_past_the_bound_hand_the_chunk_to_kernel_modn(monkeypatch):
     assert 0 < len(calls) <= len(lams)
 
 
+def test_a_chunk_of_replayed_and_handed_off_weights_keeps_pivot_rows(
+        monkeypatch):
+    # random weights of pencil-4 over Z12, every eighth one zero: with the
+    # bound at 500, some matrices of the chunk finish their replay before an
+    # entry outgrows it, and the others go to kernel_modn
+    m, ring = catalog("pencil-4"), make_ring("Z12")
+    rng = random.Random("pencil-4Z12")
+    lams = np.array([[rng.randrange(12) for _ in range(m.n)]
+                     for _ in range(128)])
+    lams[::8] = 0
+    L, nr, nc = oracle._dlambda_digit_map(m, ring)
+    mats = _kernels._systems(L, ring, lams, nc)
+    handed = []
+    real = _kernels.kernel_modn
+
+    def counted(M):
+        handed.append(M.rows)
+        return real(M)
+
+    monkeypatch.setattr(_kernels, "kernel_modn", counted)
+    monkeypatch.setattr(_kernels, "_SMITH_BOUND", 500)
+    K, valid = _kernels._smith_kernels(mats, ring)
+    assert 0 < len(handed) < len(lams)
+    assert K.shape == (len(lams), m.n, m.n) and valid.shape == K.shape[:2]
+    for lam, Kb, ok in zip(lams.tolist(), K, valid):
+        want = np.zeros((m.n, m.n), dtype=np.int64)
+        at = np.zeros(m.n, dtype=bool)
+        for g in kernel_modn(dlambda_matrix(tuple(lam), m, ring)):
+            c = next(i for i, x in enumerate(g) if x)
+            assert not at[c]
+            want[c], at[c] = g, True
+        assert np.array_equal(Kb, want), lam
+        assert np.array_equal(ok, at), lam
+
+
 def test_scan_modn_does_not_depend_on_smith_chunk(monkeypatch):
     # pencil-4/Z6 reports 801 weights: chunks of 7 leave a short last chunk
     m, ring = catalog("pencil-4"), make_ring("Z6")
     full = oracle.scan_resonance(m, ring).to_jsonable()
     assert full["resonant_count"] % 7
-    monkeypatch.setattr(oracle, "_SMITH_CHUNK", 7)
+    monkeypatch.setattr(oracle, "_HIT_CHUNK", 7)
     small = oracle.scan_resonance(m, ring).to_jsonable()
     for rep in (full, small):
         rep.pop("seconds")
@@ -101,7 +152,8 @@ def test_generators_equal_kernel_modn_on_random_matrices(N, R, n):
     L = np.eye(R * n, dtype=np.int64)
     got = []
     for lo in range(0, len(mats), 128):
-        got += _kernels._smith_kernels(L, ring, R, n, mats[lo:lo + 128])
+        stack = _kernels._systems(L, ring, mats[lo:lo + 128], n)
+        got += _lists(*_kernels._smith_kernels(stack, ring))
     for M, gens in zip(mats, got):
         rows = M.reshape(R, n).tolist()
         assert gens == kernel_modn(Matrix.from_rows(ring, rows, width=n)), rows
