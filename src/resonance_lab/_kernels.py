@@ -67,8 +67,9 @@ generators and its row mask.  Over F_q, `echelon_kernels` takes one
 reduced row echelon form, whose valid rows are `rings.kernel_field`'s
 basis.  Over Z/N, `_smith_kernels` replays the integer Smith form of
 [M | N*I] and `rings.howell_form` in lockstep, one pass of the reference
-loop body per numpy round, and hands the unfinished matrices back to
-`kernel_modn` before an int64 product could overflow; row c of K[b] is
+loop body per numpy round, and hands each matrix whose entries outgrow
+a bound back to `kernel_modn` before an int64 product could overflow,
+while the rest of the stack goes on; row c of K[b] is
 the generator of `kernel_modn` whose pivot is in column c.
 
 Candidates are numbered in one of two orders, with one decoder each.
@@ -536,9 +537,11 @@ def _smith_kernels(mats: np.ndarray, ring: IntegersModN
     `kernel_modn` reads: a column step acts on each row of V on its own.
     [M | N*I] has full row rank, so the pivots fill the diagonal and the
     generators are the nonzero columns of V[:, R:] mod N; one call of
-    `_howell_forms` reduces those of the whole stack.  Once an entry
-    outgrows `_SMITH_BOUND`, the matrices still unfinished go to
-    `kernel_modn` one at a time, each row at its pivot column.
+    `_howell_forms` reduces those of the whole stack.  A matrix one of
+    whose entries (of A or V) outgrows `_SMITH_BOUND` leaves the lockstep
+    and goes to `kernel_modn` on its own, each row at its pivot column;
+    the others go on.  Each matrix's replay reads only its own entries, so
+    the matrices handed off are those that overflow when replayed alone.
     """
     (B, R, n), N = mats.shape, ring.n
     C = n + R
@@ -550,6 +553,7 @@ def _smith_kernels(mats: np.ndarray, ring: IntegersModN
     t = np.zeros(B, dtype=np.int64)
     idx = np.arange(B)  # stack position of each unfinished matrix
     G = np.zeros((B, n, n), dtype=np.int64)  # generator rows by position
+    handoff = []  # stack positions of the matrices that outgrew the bound
     rows, cols = np.arange(R), np.arange(C)
     # a pivot key per entry: |a| - 1 as uint64 (so 0 wraps to the top),
     # with bit 63 set outside the trailing block of step t
@@ -559,7 +563,14 @@ def _smith_kernels(mats: np.ndarray, ring: IntegersModN
     while idx.size and R:
         mag = np.abs(A)
         if max(mag.max(), np.abs(V).max()) > _SMITH_BOUND:
-            break
+            # per-matrix maxima only here, so bounded stacks never pay them
+            over = np.maximum(mag.max((1, 2)),
+                              np.abs(V).max((1, 2))) > _SMITH_BOUND
+            handoff += idx[over].tolist()
+            keep = ~over
+            A, V, t, idx, mag = A[keep], V[keep], t[keep], idx[keep], mag[keep]
+            if not idx.size:
+                break
         every, tt = np.arange(idx.size), t[:, None]
         below, right = rows > tt, cols > tt  # (b, R) and (b, C)
         key = ((mag.view(np.uint64) - np.uint64(1)) | high[t]).reshape(
@@ -595,7 +606,7 @@ def _smith_kernels(mats: np.ndarray, ring: IntegersModN
             keep = ~fin
             A, V, t, idx = A[keep], V[keep], t[keep], idx[keep]
     K = _howell_forms(G, N)
-    for b in idx.tolist():
+    for b in handoff + idx.tolist():
         for row in kernel_modn(Matrix.from_rows(ring, mats[b].tolist(),
                                                 width=n)):
             K[b, np.flatnonzero(row)[0]] = row

@@ -78,12 +78,16 @@ def k_gamma(graph: Graph, m: Matroid, ring: Ring):
     the line sums can miss it (braid-K4 with 12|34|56 over F2 has dim K = 3,
     the Hessian with 123|456|789|αβγ over F3 has dim K = 6).  Every resonant
     weight does lie in that hyperplane, so a component's carrier can be a
-    proper subset of P(K).
+    proper subset of P(K).  When every trivial line is an edge, a weight of
+    K off the hyperplane has dim Z_Gamma = 1, and `scan_component`
+    eliminates only K ∩ {sum(lambda) = 0} (proof in
+    `oracle._scanned_basis`).
 
     Over F_{p^k} every entry of the basis lies in F_p (its encoding is
     below p): it is the RREF kernel of a 0/1 matrix, which row reduction
     over F_p already reaches.  `_kernels.scan_nullities` relies on this
-    through the component map of `scan_component`, and checks it.
+    through the component map of `scan_component`, whose basis of K ∩
+    {sum(lambda) = 0} is an F_p combination of these rows, and checks it.
     """
     xg = graph.x_gamma(m)
     if ring.is_field:

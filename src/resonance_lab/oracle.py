@@ -7,8 +7,13 @@ map of lambda -> d_lambda per scan.  Over a field a weight is resonant iff
 its kernel nullity is at least 2, and a weight whose coordinate sum is
 nonzero has nullity exactly 1 (proof in `_scan_resonance_field`), so the
 kernel eliminates only the projective points of the hyperplane of sum
-zero, q times fewer than all of them.  Over Z/N a weight is resonant iff
-Z(lambda) is larger than its parallel locus P(lambda); both split over the
+zero, q times fewer than all of them.  A component scan classifies the
+projective weights of one graph's K by dim Z_Gamma, and when every trivial
+line is an edge of the graph the same coordinate-sum argument leaves only
+K ∩ {sum = 0} to eliminate (proof in `_scanned_basis`); it checks that
+identity on the rows of Z_Gamma once per call.  Over Z/N a weight is
+resonant iff Z(lambda) is larger than its parallel locus P(lambda); both
+split over the
 prime-power factors p^k of N, so the batched kernel decides every tuple of
 each factor ring once, on the scan's digit map reduced mod p^k, and a
 weight is reported when some factor of it is resonant.  The kernel
@@ -457,8 +462,15 @@ class ComponentScan:
 def scan_component(graph: Graph, m: Matroid, ring: Ring,
                    cap: Optional[int] = None, jobs: int = 1) -> ComponentScan:
     """Classify every projective weight of K by its solution-space dimension.
-    Scans run in one thread: `jobs` stays only because the benchmark
-    harness passes `jobs=1`, and any other value raises `ValueError`."""
+
+    When every trivial line of m is an edge of the graph, as for every
+    neighborly graph, the kernel eliminates only K ∩ H, H = {s(lambda) = 0}
+    with s the coordinate sum, and every weight of K off H is counted in
+    stratum 1 (proof in `_scanned_basis`); otherwise it eliminates all of K.
+    `universe`, the strata and the carrier always cover all of K, and the
+    cap is charged q^dim K either way.  Scans run in one thread: `jobs`
+    stays only because the benchmark harness passes `jobs=1`, and any other
+    value raises `ValueError`."""
     if jobs != 1:
         raise ValueError(f"scans run in one thread, not jobs={jobs}")
     t0 = time.perf_counter()
@@ -470,31 +482,123 @@ def scan_component(graph: Graph, m: Matroid, ring: Ring,
     if dim_k == 0:
         return ComponentScan(graph, m.name, ring.spec, 0, 0, (), (),
                              time.perf_counter() - t0, budget)
-    if ring.cardinality ** dim_k > budget:
-        raise CapExceeded(
-            f"{ring.cardinality}**{dim_k} K-weights exceed the budget {budget}")
+    q = ring.cardinality
+    if q ** dim_k > budget:
+        raise CapExceeded(f"{q}**{dim_k} K-weights exceed the budget {budget}")
 
-    K = np.asarray(kb, dtype=np.intp)
-    L, nr, nc = _kernels.build_digit_map(
-        lambda lam: _k_rows(lam, graph, m, ring, K), kb, ring, dim_k)
-    total = _kernels.projective_total(ring.cardinality, dim_k)
-    nullities = _kernels.scan_nullities(L, ring, dim_k, nr, nc, 0, total)
-    strata = tuple((d, int(c)) for d, c in enumerate(np.bincount(nullities))
-                   if c)
-    hits = np.flatnonzero(nullities >= 2)
-    coeffs = _kernels.decode_candidates(hits, ring.cardinality, dim_k)
-    carrier = _kernels.projective_canon(
-        _kernels.ring_product(coeffs, K, ring), ring)
-    points = tuple(zip(map(tuple, carrier.tolist()),
-                       nullities[hits].tolist()))
+    B = _scanned_basis(np.asarray(kb, dtype=np.intp), graph, m, ring)
+    total = _kernels.projective_total(q, dim_k)
+    nullities, points = np.zeros(0, dtype=np.uint8), ()
+    if len(B):  # no rows when K is one weight off H
+        L, nr, nc = _kernels.build_digit_map(
+            lambda lam: _k_rows(lam, graph, m, ring, B), B.tolist(), ring,
+            len(B))
+        nullities = _kernels.scan_nullities(
+            L, ring, len(B), nr, nc, 0, _kernels.projective_total(q, len(B)))
+        hits = np.flatnonzero(nullities >= 2)
+        coeffs = _kernels.decode_candidates(hits, q, len(B))
+        carrier = _kernels.projective_canon(
+            _kernels.ring_product(coeffs, B, ring), ring)
+        points = tuple(zip(map(tuple, carrier.tolist()),
+                           nullities[hits].tolist()))
+    counts = np.bincount(nullities, minlength=2)
+    counts[1] += total - nullities.size  # the weights of K off H
+    strata = tuple((d, int(c)) for d, c in enumerate(counts) if c)
     return ComponentScan(graph, m.name, ring.spec, dim_k, total, strata,
                          points, time.perf_counter() - t0, budget)
 
 
+def _scanned_basis(K: np.ndarray, graph: Graph, m: Matroid,
+                   ring: Ring) -> np.ndarray:
+    """The rows whose span `scan_component` eliminates: a basis of K ∩ H
+    when `_sums_hold`, with H = {s(lambda) = 0} and K the (dim K, n) basis
+    of `k_gamma`, and K itself otherwise or when K lies in H.
+
+    Why the weights of K off H have dim Z_Gamma = 1: for every point k,
+    sum_{j != k} (lambda_j eta_k - lambda_k eta_j) = s(lambda) eta_k -
+    lambda_k s(eta).  Group the j by the line X through k and j: the terms
+    of X sum to lambda_X eta_k - lambda_k eta_X, the row (X, k) of Z_Gamma
+    when X is in x_Gamma; every other nontrivial line is a clique, so each
+    of its terms is an edge minor; a trivial line is one term, an edge
+    minor if it is an edge.  So if every trivial line is an edge, the rows
+    of Z_Gamma(lambda) sum to s(lambda) eta_k - lambda_k s(eta) for every
+    k, and eta in Z_Gamma(lambda) gives s(lambda) eta = s(eta) lambda.  A
+    weight with s(lambda) != 0 then has Z_Gamma(lambda) on the line through
+    lambda, which it contains (every row vanishes at eta = lambda): dim 1.
+    A nonzero lambda in H has s(eta) lambda = 0, so Z_Gamma(lambda) lies in
+    H, and its dimension is the nullity of the rows on K ∩ H.
+
+    K's entries lie in F_p, so sigma_i = s(K_i) mod p.  With i0 the last i
+    with sigma_i != 0, the rows K_i - (sigma_i / sigma_i0) K_i0 (i != i0)
+    are a basis of K ∩ H with entries in F_p, so `scan_nullities` still
+    finds its Frobenius and self-kernel premises.  In K-coordinates the
+    candidate c of K ∩ H stands for c with c_i0 = -sum (sigma_i /
+    sigma_i0) c_i inserted, and sigma_i = 0 for every i > i0, so c_i0
+    depends only on the coordinates before it: the inserted coordinate is
+    zero when those are, and the leading one keeps its place.  The
+    candidates of K ∩ H therefore come in the order of their K-candidates,
+    the order of the carrier an all-of-K scan reports.
+    """
+    p = _kernels.field_params(ring)[0]
+    sigma = K.sum(1) % p
+    live = np.flatnonzero(sigma)
+    if not live.size or not _sums_hold(graph, m, ring):
+        return K
+    i0 = live[-1]
+    E = np.delete(np.eye(len(K), dtype=np.intp), i0, axis=0)
+    E[:, i0] = -np.delete(sigma, i0) * pow(int(sigma[i0]), -1, p) % p
+    return E @ K % p
+
+
+def _zgamma_sum_matrix(graph: Graph, m: Matroid) -> np.ndarray:
+    """The (n, R) 0/±1 matrix T_Gamma whose row k sums the R rows of
+    `zgamma_rows` into sum_{j != k} (lambda_j eta_k - lambda_k eta_j): +1 at
+    the row (X, k) of each line X of x_Gamma through k, and, for each point
+    j != k of every other line through k, the edge row of {j, k} with sign
+    +1 if j < k and -1 if j > k (the edge row of i < j is lambda_i eta_j -
+    lambda_j eta_i).  A pair on an x_Gamma line takes that line's row
+    alone, even when it is an edge.  A trivial line that is not an edge
+    takes nothing, and the identity `_sums_hold` checks then fails."""
+    xg = graph.x_gamma(m)
+    at = {r: i for i, r in enumerate(
+        [(X, k) for X in xg for k in X] + sorted(graph.edges))}
+    T = np.zeros((m.n, len(at)), dtype=np.int64)
+    for X in m.all_lines:
+        for k in X:
+            if (X, k) in at:
+                T[k - 1, at[X, k]] = 1
+                continue
+            for j in X:
+                e = (min(j, k), max(j, k))
+                if j != k and e in at:
+                    T[k - 1, at[e]] = 1 if j < k else -1
+    return T
+
+
+def _sums_hold(graph: Graph, m: Matroid, ring: Ring) -> bool:
+    """Whether T_Gamma rows(lambda) = s(lambda) I - lambda 1^T over the
+    field, with T_Gamma = `_zgamma_sum_matrix` and rows(lambda) the
+    `zgamma_rows` matrix: row k of the right side is eta -> s(lambda) eta_k
+    - lambda_k s(eta).  Both sides are linear in lambda, so it is checked
+    at the n unit weights e_i, where the right side is I - e_i 1^T.  Those
+    rows have entries 0 and ±1, encoded below p.  It holds exactly when
+    every trivial line of m is an edge of the graph: a missing pair {j, k}
+    leaves entry (k, k) at e_j zero instead of one."""
+    p = _kernels.field_params(ring)[0]
+    T = _zgamma_sum_matrix(graph, m)
+    eye = np.eye(m.n, dtype=np.int64)
+    for i in range(m.n):
+        rows = np.asarray(zgamma_rows(tuple(eye[i].tolist()), graph, m, ring),
+                          dtype=np.int64).reshape(T.shape[1], m.n)
+        if ((T @ rows - eye + eye[i][:, None]) % p).any():
+            return False
+    return True
+
+
 def _k_rows(lam: Sequence, graph: Graph, m: Matroid, ring: Ring,
             K: np.ndarray) -> np.ndarray:
-    """Rows of the Z_Gamma(lambda) system projected onto K, the rows of the
-    (dim K, n) array K: each ambient row r becomes (r . b for b in K), so
+    """Rows of the Z_Gamma(lambda) system projected onto the span of the
+    rows of K (dim, n): each ambient row r becomes (r . b for b in K), so
     the kernel is in K-coordinates.  The rows come from `zgamma_rows`; the
     projection is one table product over the ring."""
     rows = zgamma_rows(lam, graph, m, ring)

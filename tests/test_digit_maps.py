@@ -1,7 +1,8 @@
 """The scans' digit maps and carrier decode against the entry-by-entry
 reference in `digit_map_reference`: identical L and nrows on every
-neighborly partition graph of the decompose cases, and identical carrier
-points."""
+neighborly partition graph of the decompose cases, and the component scan's
+strata and carrier points identical to those of an all-of-K scan of the
+reference map."""
 
 import numpy as np
 import pytest
@@ -39,7 +40,12 @@ def _check_component(g, m, ring):
         coeffs = candidates[gi]
         want.append((ref.canon(ring.combine(coeffs, kb, m.n), ring),
                      int(nul[gi])))
-    got = oracle.scan_component(g, m, ring).points
+    # the scan eliminates only K ∩ {sum = 0} when it can; its strata and
+    # carrier must still be those of all of K
+    cs = oracle.scan_component(g, m, ring)
+    assert cs.strata == tuple((d, int(c)) for d, c in
+                              enumerate(np.bincount(nul)) if c), g
+    got = cs.points
     assert got == tuple(want), g
     assert all(type(x) is int for lam, d in got for x in (*lam, d))
 

@@ -126,6 +126,40 @@ def test_a_chunk_of_replayed_and_handed_off_weights_keeps_pivot_rows(
         assert np.array_equal(ok, at), lam
 
 
+def test_only_the_matrices_that_outgrow_the_bound_are_handed_off(
+        monkeypatch):
+    # random weights of braid-K4 over Z12 with the bound at 500: a matrix
+    # leaves the lockstep when its own entries outgrow the bound, so the
+    # chunk hands off exactly the matrices that hand off when replayed one
+    # at a time, and K is the one the real bound gives
+    m, ring = catalog("braid-K4"), make_ring("Z12")
+    rng = random.Random("braid-K4Z12")
+    lams = np.array([[rng.randrange(12) for _ in range(m.n)]
+                     for _ in range(64)])
+    L, nr, nc = oracle._dlambda_digit_map(m, ring)
+    mats = _kernels._systems(L, ring, lams, nc)
+    want = _kernels._smith_kernels(mats, ring)
+    handed = []
+    real = _kernels.kernel_modn
+
+    def counted(M):
+        handed.append(tuple(map(tuple, M.rows)))
+        return real(M)
+
+    monkeypatch.setattr(_kernels, "kernel_modn", counted)
+    monkeypatch.setattr(_kernels, "_SMITH_BOUND", 500)
+    alone = []
+    for b in range(len(mats)):
+        handed.clear()
+        _kernels._smith_kernels(mats[b:b + 1], ring)
+        alone += [tuple(map(tuple, mats[b].tolist()))] if handed else []
+    handed.clear()
+    got = _kernels._smith_kernels(mats, ring)
+    assert 0 < len(alone) < len(mats)
+    assert sorted(handed) == sorted(alone)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_scan_modn_does_not_depend_on_smith_chunk(monkeypatch):
     # pencil-4/Z6 reports 801 weights: chunks of 7 leave a short last chunk
     m, ring = catalog("pencil-4"), make_ring("Z6")

@@ -3,7 +3,8 @@
 The references here are test-side: automorphism groups by filtering
 `itertools.permutations` (or by a collinearity-preserving backtrack for the
 Hessian), permuted weights canonicalized in `Ring` arithmetic, and carriers
-from `scan_component` on every graph.
+from `scan_component` on every graph.  The Hessian over F3 is pinned in
+full, each union point checked by `v1_contains`.
 """
 
 import itertools
@@ -206,3 +207,42 @@ def test_scan_set_is_closed_under_automorphisms(name, spec):
     assert points
     for pi in _aut_by_permutations(m):
         assert {_canon(_permuted(pi, lam), ring) for lam in points} == points
+
+
+def test_hessian_f3_scan_is_the_union_of_its_components(monkeypatch):
+    # the paper's headline case: 382 resonant weights, the union of the
+    # carriers of the 336 neighborly partition graphs, nested.  Every carrier
+    # a scan or a carry produces is recorded in visiting order, and each
+    # union point is checked by `v1_contains` on a graph whose carrier holds
+    # it, an exact membership test with no elimination of the scans
+    m, ring = catalog("hessian"), make_ring("F3")
+    carriers = []
+    real_scan, real_carry = oracle.scan_component, neighborly._carry
+
+    def scanned(g, *args, **kw):
+        comp = real_scan(g, *args, **kw)
+        carriers.append(set(comp.carrier))
+        return comp
+
+    def carried(*args):
+        pset = real_carry(*args)
+        carriers.append(pset)
+        return pset
+
+    monkeypatch.setattr(oracle, "scan_component", scanned)
+    monkeypatch.setattr(neighborly, "_carry", carried)
+    rep = decomposition_check(m, ring)
+    assert (rep.scan_count, rep.union_count, len(rep.graphs)) == (382, 382, 336)
+    assert rep.equal and rep.nesting_ok
+    complete = _complete(m.n)
+    graphs = [g for g, _ in rep.graphs if g != complete]
+    assert len(graphs) == len(carriers)
+    assert [len(c) for c in carriers] == [k for g, k in rep.graphs
+                                          if g != complete]
+    home = {}
+    for g, pset in zip(graphs, carriers):
+        for lam in pset:
+            home.setdefault(lam, g)
+    assert len(home) == 382
+    for lam, g in home.items():
+        assert neighborly.v1_contains(lam, g, m, ring), (lam, g)
