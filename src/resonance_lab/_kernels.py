@@ -67,10 +67,10 @@ generators and its row mask.  Over F_q, `echelon_kernels` takes one
 reduced row echelon form, whose valid rows are `rings.kernel_field`'s
 basis.  Over Z/N, `_smith_kernels` replays the integer Smith form of
 [M | N*I] and `rings.howell_form` in lockstep, one pass of the reference
-loop body per numpy round, and hands each matrix whose entries outgrow
-a bound back to `kernel_modn` before an int64 product could overflow,
-while the rest of the stack goes on; row c of K[b] is
-the generator of `kernel_modn` whose pivot is in column c.
+loop body per numpy round, keeps the column transform mod N, and hands
+each matrix whose own entries outgrow a bound back to `kernel_modn`
+before an int64 product could overflow, while the rest of the stack goes
+on; row c of K[b] is the `kernel_modn` generator with pivot column c.
 
 Candidates are numbered in one of two orders, with one decoder each.
 Tuples of (Z/q)^dim follow `itertools.product` order: tuple g has the
@@ -537,11 +537,12 @@ def _smith_kernels(mats: np.ndarray, ring: IntegersModN
     `kernel_modn` reads: a column step acts on each row of V on its own.
     [M | N*I] has full row rank, so the pivots fill the diagonal and the
     generators are the nonzero columns of V[:, R:] mod N; one call of
-    `_howell_forms` reduces those of the whole stack.  A matrix one of
-    whose entries (of A or V) outgrows `_SMITH_BOUND` leaves the lockstep
-    and goes to `kernel_modn` on its own, each row at its pivot column;
-    the others go on.  Each matrix's replay reads only its own entries, so
-    the matrices handed off are those that overflow when replayed alone.
+    `_howell_forms` reduces those of the whole stack.  V is read only mod
+    N and never feeds A or the pivots, so an entry of V past `_SMITH_BOUND`
+    reduces the stack's V mod N.  A matrix with an entry of A past it goes
+    to `kernel_modn` on its own, each row at its pivot column; the others
+    go on.  Each matrix's replay reads only its own entries, so the
+    matrices handed off are those that overflow when replayed alone.
     """
     (B, R, n), N = mats.shape, ring.n
     C = n + R
@@ -561,11 +562,12 @@ def _smith_kernels(mats: np.ndarray, ring: IntegersModN
                 & (cols >= rows[:, None])[:, None, :])
     high = outside.astype(np.uint64) << np.uint64(63)  # (R, R, C) by t
     while idx.size and R:
+        if np.abs(V).max() > _SMITH_BOUND:
+            V %= N  # column steps commute with reduction mod N
         mag = np.abs(A)
-        if max(mag.max(), np.abs(V).max()) > _SMITH_BOUND:
+        if mag.max() > _SMITH_BOUND:
             # per-matrix maxima only here, so bounded stacks never pay them
-            over = np.maximum(mag.max((1, 2)),
-                              np.abs(V).max((1, 2))) > _SMITH_BOUND
+            over = mag.max((1, 2)) > _SMITH_BOUND
             handoff += idx[over].tolist()
             keep = ~over
             A, V, t, idx, mag = A[keep], V[keep], t[keep], idx[keep], mag[keep]
@@ -628,8 +630,8 @@ def _howell_forms(G: np.ndarray, N: int) -> np.ndarray:
     going to the end of the pool; the pivot is scaled by `_unit_to_divisor`
     of its entry and its saturation row (N/d) * pivot goes last.  Both
     come from tables over Z/N (`_howell_tables`).  Each column puts back
-    at most as many rows as it takes out of the pool, so after a stable
-    sort of the nonzero rows to the front the pool keeps its m slots.  The
+    at most as many rows as it takes out of the pool, so the pool keeps its
+    m slots: one scatter moves the nonzero rows to the front, in order.  The
     entries above the pivots are then reduced in reverse pivot order, which
     is not canonical: the 5005/81 pin of pencil-5/Z6 depends on it.  Every
     product stays below N^2, exact in int64 for N < 2^31.
@@ -665,9 +667,10 @@ def _howell_forms(G: np.ndarray, N: int) -> np.ndarray:
         extra = (N // d)[:, None] * piv % N  # the saturation row
         out[:, c] = piv
         P[sel] = 0
-        P = np.concatenate((P, cleared, extra[:, None]), axis=1)
-        order = np.argsort(~P.any(2), axis=1, kind="stable")[:, :m]
-        P = np.take_along_axis(P, order[:, :, None], axis=1)
+        pool = np.concatenate((P, cleared, extra[:, None]), axis=1)
+        i, r = np.nonzero(pool.any(2))  # by matrix, then in pool order
+        P = np.zeros_like(P)
+        P[i, np.arange(i.size) - np.searchsorted(i, i)] = pool[i, r]
     for c in reversed(range(n)):
         d = out[:, c, c]
         if not d.any():

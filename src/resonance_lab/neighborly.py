@@ -275,7 +275,7 @@ def enumerate_neighborly(m: Matroid, ring: Ring, partitions_only: bool = True,
     partitions_only walks every choice of cone-vertex set and partition of
     the remaining vertices (the transitive graphs), pruned by clique
     closure as the partition grows (`_partition_walk`); `is_neighborly`
-    then checks each distinct graph the walk emits, and a failure raises
+    then checks each graph the walk emits, and a failure raises
     ValueError.  Otherwise every edge set containing the trivial lines is
     tried and filtered by `is_neighborly`.  full_support drops graphs with a
     cone vertex.  Hard bounds: n <= 12 for partitions (under 1 s for the
@@ -290,11 +290,8 @@ def enumerate_neighborly(m: Matroid, ring: Ring, partitions_only: bool = True,
         if n > 8:
             raise CapExceeded(f"full graph enumeration capped at n=8, got {n}")
         candidates = _all_graphs(m)
-    out, seen = [], set()
+    out = []
     for g in candidates:
-        if g.edges in seen:
-            continue
-        seen.add(g.edges)
         if full_support and g.cone_vertices:
             continue
         if not is_neighborly(g, m):
@@ -309,12 +306,15 @@ def enumerate_neighborly(m: Matroid, ring: Ring, partitions_only: bool = True,
 
 
 def _partition_walk(m: Matroid, cone_free: bool = False) -> Iterator[Graph]:
-    """Partition graphs that pass clique closure, duplicates included.
+    """Partition graphs that pass clique closure, each once.
 
     Cone sets C come by size, then in `itertools.combinations` order (only
     the empty one when cone_free); for each, the points outside C are put
     into blocks in restricted-growth-string order, the order of
-    `set_partitions`.  A set meets C and at most one block exactly when it
+    `set_partitions`.  A nonempty C skips the complete graph (one block or
+    none), which C = () emits.  With two or more blocks, C is the graph's
+    set of cone vertices and the blocks are its components off C, so no
+    graph comes twice.  A set meets C and at most one block exactly when it
     is a clique, so a line X fails clique closure exactly when Y = X - C
     meets two blocks and one of them holds a single point of Y.  Each line
     with |Y| >= 2 is checked once, when its last point is placed, and a
@@ -349,6 +349,8 @@ def _cone_partition_graphs(n: int, cone: Tuple[int, ...],
 
     def place(i: int, nblocks: int) -> None:
         if i == len(rest):
+            if cone and nblocks <= 1:  # the complete graph, which C = () has
+                return
             blocks: List[List[int]] = [[] for _ in range(nblocks)]
             for v, b in zip(rest, label):
                 blocks[b].append(v)

@@ -13,23 +13,26 @@ line is an edge of the graph the same coordinate-sum argument leaves only
 K ∩ {sum = 0} to eliminate (proof in `_scanned_basis`); it checks that
 identity on the rows of Z_Gamma once per call.  Over Z/N a weight is
 resonant iff Z(lambda) is larger than its parallel locus P(lambda); both
-split over the
-prime-power factors p^k of N, so the batched kernel decides every tuple of
-each factor ring once, on the scan's digit map reduced mod p^k, and a
-weight is reported when some factor of it is resonant.  The kernel
-eliminates d_lambda alone: P(lambda) has a closed form, cut out by a row
-module of length (n - 1)(k - v) with v the least p-adic valuation of
-lambda's coordinates (proof in `_resonant_mask`).
+split over the prime-power factors p^k of N, so the batched kernel decides
+every tuple of each factor ring once, on the scan's digit map reduced mod
+p^k, and a weight is reported when some factor of it is resonant.  The
+kernel eliminates d_lambda alone: P(lambda) has a closed form, cut out by
+a row module of length (n - 1)(k - v) with v the least p-adic valuation
+of lambda's coordinates.  The same coordinate-sum argument leaves only the
+tuples with s(lambda) = 0 mod p to eliminate in each factor, and the
+identity is checked on each factor's digit map (proofs in
+`_resonant_mask`).
 
 The reported weights of both rings take one hit stage, `_partners`, in
-chunks of `_HIT_CHUNK`: one batched elimination of each chunk's d_lambda
-gives every weight its Z(lambda) generators, `kernel_field`'s basis over
-F_q (its size must equal the kernel nullity) and `kernel_modn`'s Howell
-generators over Z/N, and its partner eta is the first of them with a
-nonzero 2x2 minor against lambda.  Every partner is then checked by
-evaluating a_lambda ∧ a_eta directly, over all points at once through the
-ring's tables, and the same eta picks the point's graph
-(`_group_by_graph`, which reads nothing of the eliminations).
+chunks of at most `_HIT_ENTRIES` entries of the stacks eliminated: one
+batched elimination of each chunk's d_lambda gives every weight its
+Z(lambda) generators, `kernel_field`'s basis over F_q (its size must equal
+the kernel nullity) and `kernel_modn`'s Howell generators over Z/N, and
+its partner eta is the first of them with a nonzero 2x2 minor against
+lambda.  Every partner is then checked by evaluating a_lambda ∧ a_eta
+directly, over all points at once through the ring's tables, and the same
+eta picks the point's graph (`_group_by_graph`, which reads nothing of the
+eliminations).
 All caps are explicit; RESONANCE_LAB_CAP overrides the default
 budget.
 """
@@ -244,11 +247,13 @@ def _row_sum_matrix(m: Matroid) -> np.ndarray:
 def _check_row_sums(L: np.ndarray, m: Matroid, ring: Ring) -> None:
     """Raise `ValueError` unless T d_lambda = s(lambda) I - lambda 1^T for
     every weight, with T = `_row_sum_matrix(m)` and L the digit map of
-    d_lambda: row k of the right side is eta -> s(lambda) eta_k - lambda_k
-    s(eta).  Both sides are F_p-linear in lambda's digits, so the identity
+    d_lambda over F_q or Z/N: row k of the right side is eta -> s(lambda)
+    eta_k - lambda_k s(eta).  Both sides are linear in lambda's digits (over
+    Z/N one digit per coordinate, the coordinate itself), so the identity
     holds iff it holds at each unit digit x^t e_i, where the digit t' of the
     right side's entry (k, j) is [t' = t] ([k = j] - [k = i])."""
-    p, kext, _ = _kernels.field_params(ring)
+    p, kext = ((ring.n, 1) if isinstance(ring, IntegersModN)
+               else _kernels.field_params(ring)[:2])
     n = m.n
     T = _row_sum_matrix(m)
     got = T @ L.reshape(T.shape[1], n * kext * n * kext) % p
@@ -297,22 +302,26 @@ def _scan_resonance_modn(m: Matroid, ring: IntegersModN,
 def _partners(L: np.ndarray, ring: Ring, lams: np.ndarray,
               dims: Optional[np.ndarray]) -> List[tuple]:
     """The partner of each weight, the rows of lams: the first of its
-    Z(lambda) generators with a nonzero 2x2 minor against lambda.  Each
-    chunk of `_HIT_CHUNK` takes its d_lambda stack from `_kernels._systems`
-    and (K, valid) from `_kernels.echelon_kernels` over a field or
-    `_kernels._smith_kernels` over Z/N.  Raises `ValueError`, naming
-    lambda, when a field weight does not have dims[b] (its nullity)
-    generators, or when all of a weight's generators are parallel to it."""
+    Z(lambda) generators with a nonzero 2x2 minor against lambda.  A chunk
+    holds as many weights as `_HIT_ENTRIES` entries of the stacks that the
+    ring's kernel eliminates (R x n over F_q, R x (n + R) for [d_lambda |
+    N I] over Z/N), and takes its d_lambda stack from `_kernels._systems`
+    and (K, valid) from `_kernels.echelon_kernels` or
+    `_kernels._smith_kernels`.  Raises `ValueError`, naming lambda, when a
+    field weight does not have dims[b] (its nullity) generators, or when
+    all of a weight's generators are parallel to it."""
     n = lams.shape[1]
     kernels = (_kernels.echelon_kernels if ring.is_field
                else _kernels._smith_kernels)
+    R = len(L) // L.shape[1]
+    size = max(1, _HIT_ENTRIES // max(1, R * (n if ring.is_field else n + R)))
     etas = []
-    for lo in range(0, len(lams), _HIT_CHUNK):
-        chunk = lams[lo:lo + _HIT_CHUNK]
+    for lo in range(0, len(lams), size):
+        chunk = lams[lo:lo + size]
         K, valid = kernels(_kernels._systems(L, ring, chunk, n), ring)
         if dims is not None:
             found = valid.sum(1)
-            bad = np.flatnonzero(found != dims[lo:lo + _HIT_CHUNK])
+            bad = np.flatnonzero(found != dims[lo:lo + size])
             if bad.size:
                 b = bad[0]
                 raise ValueError(f"kernel nullity {dims[lo + b]} of "
@@ -330,11 +339,9 @@ def _partners(L: np.ndarray, ring: Ring, lams: np.ndarray,
 
 
 _WALK_BLOCK = 1024
-# reported weights per batched elimination of the hit stage: one pass of
-# the modn-scan benchmark workload peaks at 33.8 MB with chunks of 128 and
-# 41.7 MB with chunks of 1024, against 33.7 MB with one Smith form per
-# weight
-_HIT_CHUNK = 128
+# stack entries per batched elimination of the hit stage: 128 weights of
+# braid-K4's 11 x (6 + 11) Smith stacks, 664 of pencil-5's 4 x (5 + 4)
+_HIT_ENTRIES = 128 * 11 * 17
 
 
 def _resonant_mask(m: Matroid, ring: IntegersModN,
@@ -353,11 +360,36 @@ def _resonant_mask(m: Matroid, ring: IntegersModN,
     its column j, so of length k - v each; every other minor is a
     combination of them, lambda_i eta_j - lambda_j eta_i = mu_i r_j -
     mu_j r_i.  Over a field (k = 1) this reads rank d_lambda < n - 1.
+
+    Only the tuples with s(lambda) = 0 mod p are eliminated, s the
+    coordinate sum.  The row-sum identity of `_scan_resonance_field`, T
+    d_lambda eta = s(lambda) eta - lambda s(eta), uses only that each point
+    j != k lies on one line with k, so it holds over every commutative
+    ring; `_check_row_sums` checks it on L once per call.  If s(lambda) is
+    a unit, d_lambda eta = 0 gives eta = s(lambda)^-1 s(eta) lambda, so
+    Z(lambda) = R lambda, which lies in P(lambda): lambda is not resonant.
+    The tuples left, s = 0 mod p, are lambda = (c, p j - s(c)) for c in
+    (Z/p^k)^(n-1) and j < p^(k-1), once each; they are scanned as the
+    tuples x = (j, c) of (Z/p^k)^n below p^(k-1) q^(n-1), through the digit
+    map L E of x -> d_(E x).
     """
-    k = _kernels.chain_params(ring)[1]
-    z_len = _kernels.scan_lengths(L, ring, m.n, len(L) // m.n, m.n, 0,
-                                  ring.n ** m.n)
-    return z_len < (m.n - 1) * (k - _kernels._min_valuations(ring, m.n))
+    _check_row_sums(L, m, ring)
+    p, k = _kernels.chain_params(ring)
+    n, q = m.n, ring.n
+    E = np.eye(n, k=1, dtype=np.int64)  # lambda = E x
+    E[-1] = [p] + [-1] * (n - 1)
+    total = q ** n // p
+    z_len = _kernels.scan_lengths(L @ E % q, ring, n, len(L) // n, n, 0,
+                                  total)
+    # the tuple number of lambda = E x is c's number times q plus lambda_n
+    s = np.zeros(1, dtype=np.int64)
+    for _ in range(n - 1):
+        s = np.add.outer(s, np.arange(q)).ravel() % q  # s(c) mod q
+    at = (np.arange(s.size) * q
+          + (p * np.arange(total // s.size)[:, None] - s) % q).ravel()
+    mask = np.zeros(q ** n, dtype=bool)
+    mask[at] = z_len < (n - 1) * (k - _kernels._min_valuations(ring, n)[at])
+    return mask
 
 
 def _minors(lam: np.ndarray, eta: np.ndarray, ring: Ring) -> np.ndarray:

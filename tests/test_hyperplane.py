@@ -203,7 +203,8 @@ def test_reported_points_take_z_of_dimension_and_partner(name, spec):
 def test_chunked_echelon_forms_give_the_same_report(monkeypatch):
     m, ring = catalog("deletedB3"), make_ring("F3")
     whole = oracle.scan_resonance(m, ring).to_jsonable()
-    monkeypatch.setattr(oracle, "_HIT_CHUNK", 5)
+    # chunks of 5 of deletedB3's 19 x 8 systems
+    monkeypatch.setattr(oracle, "_HIT_ENTRIES", 5 * 19 * 8)
     calls = []
     real = _kernels.echelon_kernels
     monkeypatch.setattr(_kernels, "echelon_kernels",

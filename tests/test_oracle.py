@@ -188,9 +188,11 @@ def test_scan_modn_raises_on_partner_outside_z(monkeypatch):
 def test_scan_modn_raises_when_mask_disagrees_with_z(monkeypatch):
     m = catalog("pencil-3")
     Z4 = make_ring("Z4")
-    flagged = (1, 0, 0)
+    # the mask eliminates only weights of even coordinate sum, each lambda
+    # = (c, 2 j - s(c)) as the tuple x = (j, c): (2, 0, 0) is x = (1, 2, 0)
+    flagged = (2, 0, 0)
     assert not osalg.is_resonant(flagged, m, Z4)
-    index = list(itertools.product(range(4), repeat=3)).index(flagged)
+    index = list(itertools.product(range(4), repeat=3)).index((1, 2, 0))
     real = _kernels.scan_lengths
 
     def lowered(L, ring, dim, nrows, ncols, start, stop):

@@ -5,7 +5,11 @@ parallel locus P(lambda).  The scan takes |P(lambda)| from a closed form,
 p^(kn - (n-1)(k - v)) with v the least valuation of lambda's coordinates;
 these tests count P(lambda) and Z(lambda) element by element instead, and
 rebuild the system the scan used before the closed form: d_lambda stacked
-on all 2x2 minors rows, eliminated by the same kernel.
+on all 2x2 minors rows, eliminated by the same kernel.  The scan also
+eliminates only the tuples whose coordinate sum is not a unit (a unit sum
+gives Z(lambda) = R lambda); the mask must equal the elimination of every
+tuple, and a digit map that breaks the row sums behind that lemma must be
+refused.
 """
 
 import itertools
@@ -16,7 +20,7 @@ import pytest
 from resonance_lab import _kernels, oracle
 from resonance_lab.matroid import catalog
 from resonance_lab.osalg import dlambda_matrix
-from resonance_lab.rings import IntegersModN
+from resonance_lab.rings import IntegersModN, make_ring, prime_power_factors
 
 
 def _tuples(q, n):
@@ -89,3 +93,39 @@ def test_mask_matches_the_stacked_minors_system(name):
     assert np.array_equal(p_len, (n - 1) * (2 - v.astype(np.int64)))
     Ld = oracle._dlambda_digit_map(m, ring)[0]
     assert np.array_equal(oracle._resonant_mask(m, ring, Ld), z_len < p_len)
+
+
+# every Z/N scan of the suite, plus braid-K4/Z8 and pencil-4/Z12
+MODN_SCANS = [("braid-K4", "Z4"), ("nonfano", "Z4"), ("pencil-3", "Z4"),
+              ("pencil-3", "Z6"), ("pencil-3", "Z8"), ("pencil-3", "Z9"),
+              ("pencil-3", "Z12"), ("pencil-3", "Z27"), ("pencil-4", "Z4"),
+              ("pencil-4", "Z6"), ("pencil-4", "Z8"), ("pencil-4", "Z12"),
+              ("pencil-5", "Z6"), ("braid-K4", "Z8")]
+
+
+@pytest.mark.parametrize("name,spec", MODN_SCANS)
+def test_mask_equals_the_elimination_of_every_tuple(name, spec, monkeypatch):
+    m, scan_ring = catalog(name), make_ring(spec)
+    n, L = m.n, oracle._dlambda_digit_map(m, scan_ring)[0]
+    windows = []
+    real = _kernels.scan_lengths
+    monkeypatch.setattr(_kernels, "scan_lengths",
+                        lambda *a: windows.append(a[-1] - a[-2]) or real(*a))
+    for p, k in prime_power_factors(scan_ring.n):
+        ring, Lq = IntegersModN(p ** k), L % p ** k
+        windows.clear()
+        mask = oracle._resonant_mask(m, ring, Lq)
+        assert windows == [ring.n ** n // p]  # s(lambda) = 0 mod p only
+        z_len = real(Lq, ring, n, len(Lq) // n, n, 0, ring.n ** n)
+        v = _kernels._min_valuations(ring, n)
+        assert np.array_equal(mask, z_len < (n - 1) * (k - v))
+
+
+def test_a_digit_map_that_breaks_the_row_sums_is_refused_by_the_mask():
+    m, ring = catalog("braid-K4"), IntegersModN(4)
+    L, nr, nc = oracle._dlambda_digit_map(m, ring)
+    broken = L.reshape(nr, -1).copy()
+    broken[0] = 3 * broken[0] % 4  # minus one row: same kernel, other sums
+    with pytest.raises(ValueError, match="do not sum"):
+        oracle._resonant_mask(m, ring, broken.reshape(L.shape))
+    oracle._resonant_mask(m, ring, L)

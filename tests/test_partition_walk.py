@@ -70,6 +70,22 @@ def test_walk_candidates_match_reference_on_random_spaces(m):
     assert cone_free == [g for g in ref if not g.cone_vertices]
 
 
+@pytest.mark.parametrize("name", FIXTURES + ["olive-samansky", "hessian"])
+def test_walk_emits_each_graph_once(name):
+    # a nonempty cone set skips its one-block partition, the complete graph
+    m = catalog(name)
+    for cone_free in (False, True):
+        graphs = list(_partition_walk(m, cone_free=cone_free))
+        assert len({g.edges for g in graphs}) == len(graphs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(partial_linear_spaces())
+def test_walk_emits_each_graph_once_on_random_spaces(m):
+    graphs = list(_partition_walk(m))
+    assert graphs == dedup(graphs)
+
+
 def test_walk_emitting_a_non_neighborly_graph_raises(monkeypatch):
     import resonance_lab.neighborly as nb
     bad = from_blocks(6, [(1, 2), (3,), (4,), (5,), (6,)])

@@ -160,12 +160,46 @@ def test_only_the_matrices_that_outgrow_the_bound_are_handed_off(
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+def test_an_overflow_of_the_transform_alone_hands_nothing_off(monkeypatch):
+    # random weights of braid-K4 over Z36: the replay's column transform
+    # outgrows the real bound on 45 of them, and is reduced mod 36 instead
+    m, ring = catalog("braid-K4"), make_ring("Z36")
+    rng = random.Random("braid-K4Z36")
+    lams = [tuple(rng.randrange(36) for _ in range(m.n)) for _ in range(128)]
+    expected = [kernel_modn(dlambda_matrix(lam, m, ring)) for lam in lams]
+    calls = []
+    real = _kernels.kernel_modn
+
+    def counted(M):
+        calls.append(1)
+        return real(M)
+
+    monkeypatch.setattr(_kernels, "kernel_modn", counted)
+    assert _batched(m, ring, lams) == expected
+    assert not calls
+
+
+def test_hit_chunks_are_sized_by_stack_entries(monkeypatch):
+    # braid-K4's Smith stacks are 11 x (6 + 11), pencil-5's 4 x (5 + 4)
+    sizes = []
+    real = _kernels._smith_kernels
+    monkeypatch.setattr(_kernels, "_smith_kernels",
+                        lambda mats, ring: sizes.append(len(mats))
+                        or real(mats, ring))
+    oracle.scan_resonance(catalog("braid-K4"), make_ring("Z4"))
+    assert sizes == [128] * 7 + [975 - 7 * 128]
+    sizes.clear()
+    oracle.scan_resonance(catalog("pencil-5"), make_ring("Z6"))
+    assert sizes == [664] * 7 + [5005 - 7 * 664]
+
+
 def test_scan_modn_does_not_depend_on_smith_chunk(monkeypatch):
     # pencil-4/Z6 reports 801 weights: chunks of 7 leave a short last chunk
     m, ring = catalog("pencil-4"), make_ring("Z6")
     full = oracle.scan_resonance(m, ring).to_jsonable()
     assert full["resonant_count"] % 7
-    monkeypatch.setattr(oracle, "_HIT_CHUNK", 7)
+    # chunks of 7 of pencil-4's Smith stacks [d_lambda | 6 I], 3 x (4 + 3)
+    monkeypatch.setattr(oracle, "_HIT_ENTRIES", 7 * 3 * (4 + 3))
     small = oracle.scan_resonance(m, ring).to_jsonable()
     for rep in (full, small):
         rep.pop("seconds")
