@@ -80,14 +80,15 @@ def k_gamma(graph: Graph, m: Matroid, ring: Ring):
     weight does lie in that hyperplane, so a component's carrier can be a
     proper subset of P(K).  When every trivial line is an edge, a weight of
     K off the hyperplane has dim Z_Gamma = 1, and `scan_component`
-    eliminates only K ∩ {sum(lambda) = 0} (proof in
-    `oracle._scanned_basis`).
+    eliminates only K ∩ {sum(lambda) = 0} (the coordinate-sum lemma,
+    proved in `oracle._sums_hold`).
 
     Over F_{p^k} every entry of the basis lies in F_p (its encoding is
     below p): it is the RREF kernel of a 0/1 matrix, which row reduction
-    over F_p already reaches.  `_kernels.scan_nullities` relies on this
-    through the component map of `scan_component`, whose basis of K ∩
-    {sum(lambda) = 0} is an F_p combination of these rows, and checks it.
+    over F_p already reaches.  `scan_component` relies on this: its basis
+    of K ∩ {sum(lambda) = 0} is an F_p combination of these rows,
+    `oracle._restrict` refuses a basis off F_p, and
+    `_kernels.scan_nullities` checks the Frobenius premise it gives.
     """
     xg = graph.x_gamma(m)
     if ring.is_field:

@@ -4,24 +4,28 @@ stratification, vanishing-form interpolation, and the regulus demo.
 Scans classify one representative per projective class over fields (first
 nonzero coordinate one) and every nonzero tuple over Z/N, from one digit
 map of lambda -> d_lambda per scan.  Over a field a weight is resonant iff
-its kernel nullity is at least 2, and a weight whose coordinate sum is
-nonzero has nullity exactly 1 (proof in `_scan_resonance_field`), so the
-kernel eliminates only the projective points of the hyperplane of sum
-zero, q times fewer than all of them.  A component scan classifies the
-projective weights of one graph's K by dim Z_Gamma, and when every trivial
-line is an edge of the graph the same coordinate-sum argument leaves only
-K ∩ {sum = 0} to eliminate (proof in `_scanned_basis`); it checks that
-identity on the rows of Z_Gamma once per call.  Over Z/N a weight is
-resonant iff Z(lambda) is larger than its parallel locus P(lambda); both
-split over the prime-power factors p^k of N, so the batched kernel decides
-every tuple of each factor ring once, on the scan's digit map reduced mod
-p^k, and a weight is reported when some factor of it is resonant.  The
-kernel eliminates d_lambda alone: P(lambda) has a closed form, cut out by
-a row module of length (n - 1)(k - v) with v the least p-adic valuation
-of lambda's coordinates.  The same coordinate-sum argument leaves only the
-tuples with s(lambda) = 0 mod p to eliminate in each factor, and the
-identity is checked on each factor's digit map (proofs in
-`_resonant_mask`).
+its kernel nullity is at least 2.  A component scan classifies the
+projective weights of one graph's K by dim Z_Gamma.  Both field scans are
+one pipeline: the digit map of the system's rows over the unit weights,
+one check that the rows sum to s(lambda) eta_k - lambda_k s(eta) over the
+lines through each point k (s the coordinate sum), and one kernel scan of
+the map restricted to a basis of K ∩ {s = 0}, K = F_q^n for the full
+scan.  A weight of K off that hyperplane has nullity exactly 1 (the
+coordinate-sum lemma, proved once in `_sums_hold`), so the kernel
+eliminates q times fewer candidates than K has.  The full scan raises
+when the identity fails; a component scan, whose rows satisfy it exactly
+when every trivial line is an edge of the graph, then scans all of K.
+
+Over Z/N a weight is resonant iff Z(lambda) is larger than its parallel
+locus P(lambda); both split over the prime-power factors p^k of N, so the
+batched kernel decides every tuple of each factor ring once, on the
+scan's digit map reduced mod p^k, and a weight is reported when some
+factor of it is resonant.  The kernel eliminates d_lambda alone:
+P(lambda) has a closed form, cut out by a row module of length
+(n - 1)(k - v) with v the least p-adic valuation of lambda's coordinates.
+The coordinate-sum lemma leaves only the tuples with s(lambda) = 0 mod p
+to eliminate in each factor, and the identity is checked on each factor's
+digit map (proofs in `_resonant_mask`).
 
 The reported weights of both rings take one hit stage, `_partners`, in
 chunks of at most `_HIT_ENTRIES` entries of the stacks eliminated: one
@@ -44,7 +48,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -135,15 +139,16 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
 
     Fields classify one representative per projective class.  The digit
     kernel eliminates only the classes of the hyperplane of sum zero; every
-    other class has dim Z(lambda) = 1 (proof in `_scan_resonance_field`).
-    Z/N walks all nonzero tuples in `itertools.product` order and reports a
-    tuple when the batched kernel over some prime-power factor calls its
-    image resonant.  The scan builds the digit map of d_lambda once, and
-    the reported weights of both rings take their partner from one hit
-    stage (`_partners`).  Every reported point's partner is verified by
-    direct wedge evaluation.  Scans run in one thread: `jobs` stays only
-    because the benchmark harness passes `jobs=1`, and any other value
-    raises `ValueError`.
+    other class has dim Z(lambda) = 1 (the coordinate-sum lemma, proved in
+    `_sums_hold`), and the scan raises `ValueError` if the rows of d_lambda
+    do not sum as the lemma needs.  Z/N walks all nonzero tuples in
+    `itertools.product` order and reports a tuple when the batched kernel
+    over some prime-power factor calls its image resonant.  The scan builds
+    the digit map of d_lambda once, and the reported weights of both rings
+    take their partner from one hit stage (`_partners`).  Every reported
+    point's partner is verified by direct wedge evaluation.  Scans run in
+    one thread: `jobs` stays only because the benchmark harness passes
+    `jobs=1`, and any other value raises `ValueError`.
     """
     if jobs != 1:
         raise ValueError(f"scans run in one thread, not jobs={jobs}")
@@ -158,7 +163,11 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
         raise ValueError(f"unsupported ring {ring.spec}")
     L, nr, _ = _dlambda_digit_map(m, ring)
     if ring.is_field:
-        lams, dims = _scan_resonance_field(m, ring, L, nr)
+        if not _sums_hold(L, _row_sum_matrix(m), ring):
+            raise ValueError(_UNSUMMED)
+        nullities, lams = _scan_span(
+            L, nr, _scanned_basis(np.eye(m.n, dtype=np.intp), ring), ring)
+        dims = nullities[nullities >= 2]
         universe = _kernels.projective_total(ring.cardinality, m.n)
     else:
         lams, dims = _scan_resonance_modn(m, ring, L), None
@@ -174,68 +183,37 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
                       time.perf_counter() - t0, budget)
 
 
+def _ambient_map(rows: Callable[[tuple], Sequence[Sequence[int]]], n: int,
+                 ring: Ring) -> Tuple[np.ndarray, int, int]:
+    """Digit map of lambda -> rows(lambda) over the unit basis of R^n."""
+    basis = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    return _kernels.build_digit_map(rows, basis, ring, n)
+
+
 def _dlambda_digit_map(m: Matroid, ring: Ring) -> Tuple[np.ndarray, int, int]:
     """Digit map of lambda -> d_lambda over the unit basis of R^n."""
-    basis = [tuple(int(j == i) for j in range(m.n)) for i in range(m.n)]
-    return _kernels.build_digit_map(
-        lambda lam: dlambda_matrix(lam, m, ring).rows, basis, ring, m.n)
+    return _ambient_map(lambda lam: dlambda_matrix(lam, m, ring).rows, m.n,
+                        ring)
 
 
-def _scan_resonance_field(m: Matroid, ring: Ring, L: np.ndarray, nr: int
-                          ) -> Tuple[np.ndarray, np.ndarray]:
-    """The resonant weights of a field scan, as the rows of an int array in
-    report order, and their kernel nullities, from the digit map L of
-    d_lambda with nr rows.
-
-    Only the hyperplane H = {s(lambda) = 0} is eliminated, s the coordinate
-    sum, because no weight off H is resonant.  Proof: for a point k, sum
-    the rows (X, k) of d_lambda over the lines X through k, trivial lines
-    included, where the row (X, min X), which d_lambda leaves out, is minus
-    the sum of the other rows of X (the terms lambda_X eta_j - lambda_j
-    eta_X sum to zero over j in X).  Each point j != k lies on exactly one
-    line with k, so the lines through k cover the others once and
-    sum_{X ∋ k} lambda_X = r_k lambda_k + s(lambda) - lambda_k, with r_k
-    the number of lines through k.  The sum is therefore
-    eta_k (r_k lambda_k + s(lambda) - lambda_k)
-    - lambda_k (r_k eta_k + s(eta) - eta_k) = s(lambda) eta_k
-    - lambda_k s(eta).  So d_lambda eta = 0 gives s(lambda) eta =
-    s(eta) lambda.  If s(lambda) != 0, Z(lambda) lies on the line through
-    lambda, which it contains, and the nullity is exactly 1.  If lambda is
-    in H and nonzero, s(eta) lambda = 0 forces s(eta) = 0, so Z(lambda)
-    lies in H.  Both hold over every field.  `_check_row_sums` checks the
-    identity on the digit map once per call and raises `ValueError` if it
-    fails.
-
-    H is scanned in the basis e_i - e_n, i < n: the candidate c stands for
-    lambda = (c_1, ..., c_{n-1}, -s(c)), and the columns of d_lambda are
-    taken in the same basis (`_hyperplane_map`).  The nullity of d_lambda E
-    is dim (Z(lambda) ∩ H) = dim Z(lambda).  The kernel's premises hold:
-    d_lambda E c = d_lambda lambda = 0 with as many columns as coordinates,
-    and E has integer entries, so the map still commutes with the
-    Frobenius.  lambda's first nonzero coordinate is c's, a one, so lambda
-    is a canonical ambient point, and lambda and c order alike (by the
-    leading one's position, then lexicographically, as lambda_n follows
-    from c), so the hits come in ambient candidate order, the order of the
-    report.
-    """
-    _check_row_sums(L, m, ring)
-    n, q = m.n, ring.cardinality
-    if n == 1:  # H = 0
-        return np.zeros((0, n), dtype=np.int64), np.zeros(0, dtype=np.uint8)
-    total = _kernels.projective_total(q, n - 1)
-    nullities = _kernels.scan_nullities(_hyperplane_map(L, ring, n, nr), ring,
-                                        n - 1, nr, n - 1, 0, total)
-    hits = np.flatnonzero(nullities >= 2)
-    coords = _kernels.decode_candidates(hits, q, n - 1)
-    to_ambient = np.hstack([np.eye(n - 1, dtype=np.intp),
-                            np.full((n - 1, 1), ring.neg(ring.one))])
-    return _kernels.ring_product(coords, to_ambient, ring), nullities[hits]
+_UNSUMMED = ("the rows of d_lambda do not sum to s(lambda) eta_k - lambda_k "
+             "s(eta) over the lines through k")
 
 
 def _row_sum_matrix(m: Matroid) -> np.ndarray:
     """The (n, R) 0/±1 matrix T whose row k sums the rows (X, k) of
     d_lambda over the lines X through k: +1 at each row (X, k), and -1 at
-    every row of X when k = min X, whose own row d_lambda leaves out."""
+    every row of X when k = min X, whose own row d_lambda leaves out.
+
+    T d_lambda = s(lambda) I - lambda 1^T over every commutative ring.  The
+    row (X, min X) is minus the sum of the other rows of X, since the terms
+    lambda_X eta_j - lambda_j eta_X sum to zero over j in X.  Each point
+    j != k lies on exactly one line with k, so the lines through k cover
+    the others once and sum_{X ∋ k} lambda_X = r_k lambda_k + s(lambda) -
+    lambda_k, with r_k the number of lines through k, trivial ones
+    included.  Row k of T d_lambda eta is therefore eta_k (r_k lambda_k +
+    s(lambda) - lambda_k) - lambda_k (r_k eta_k + s(eta) - eta_k) =
+    s(lambda) eta_k - lambda_k s(eta)."""
     rows = [(X, k) for X in m.all_lines for k in X[1:]]
     T = np.zeros((m.n, len(rows)), dtype=np.int64)
     for r, (X, k) in enumerate(rows):
@@ -244,38 +222,103 @@ def _row_sum_matrix(m: Matroid) -> np.ndarray:
     return T
 
 
-def _check_row_sums(L: np.ndarray, m: Matroid, ring: Ring) -> None:
-    """Raise `ValueError` unless T d_lambda = s(lambda) I - lambda 1^T for
-    every weight, with T = `_row_sum_matrix(m)` and L the digit map of
-    d_lambda over F_q or Z/N: row k of the right side is eta -> s(lambda)
-    eta_k - lambda_k s(eta).  Both sides are linear in lambda's digits (over
-    Z/N one digit per coordinate, the coordinate itself), so the identity
-    holds iff it holds at each unit digit x^t e_i, where the digit t' of the
-    right side's entry (k, j) is [t' = t] ([k = j] - [k = i])."""
+def _sums_hold(L: np.ndarray, T: np.ndarray, ring: Ring) -> bool:
+    """Whether T rows(lambda) = s(lambda) I - lambda 1^T for every weight,
+    s the coordinate sum, with L the digit map of a system's R rows over
+    the unit weights of F_q^n or (Z/N)^n (`_ambient_map`) and T an integer
+    (n, R) matrix: row k of the right side is eta -> s(lambda) eta_k -
+    lambda_k s(eta).  Both sides are linear in lambda's digits (over Z/N
+    one digit per coordinate, the coordinate itself), so the identity holds
+    iff it holds at each unit digit x^t e_i, where the digit t' of the right
+    side's entry (k, j) is [t' = t] ([k = j] - [k = i]).
+    `_row_sum_matrix` gives the T of d_lambda, `_zgamma_sum_matrix` that of
+    Z_Gamma.
+
+    The coordinate-sum lemma: where the identity holds and every weight
+    lies in its own kernel (rows(lambda) lambda = 0, which
+    `_kernels.scan_nullities` checks), rows(lambda) eta = 0 gives s(lambda)
+    eta = s(eta) lambda.  If s(lambda) is a unit, eta = s(lambda)^-1 s(eta)
+    lambda, so the kernel is the line R lambda, and a weight of K off the
+    hyperplane H = {s = 0} has nullity exactly 1 on K.  Over a field a
+    nonzero lambda in H has s(eta) lambda = 0, so s(eta) = 0: the kernel
+    lies in H, and its dimension on K is the nullity of rows(lambda) on
+    K ∩ H, which `_scan_span` eliminates in the basis of `_scanned_basis`.
+    """
     p, kext = ((ring.n, 1) if isinstance(ring, IntegersModN)
                else _kernels.field_params(ring)[:2])
-    n = m.n
-    T = _row_sum_matrix(m)
+    n = T.shape[0]
     got = T @ L.reshape(T.shape[1], n * kext * n * kext) % p
     eye, digit = np.eye(n, dtype=np.int64), np.eye(kext, dtype=np.int64)
     # want[k, j, t', i, t]
     want = ((eye[:, :, None, None, None] - eye[:, None, None, :, None])
             * digit[None, None, :, None, :]) % p
-    if (got != want.reshape(n, -1)).any():
-        raise ValueError("the rows of d_lambda do not sum to s(lambda) eta_k "
-                         "- lambda_k s(eta) over the lines through k")
+    return bool((got == want.reshape(n, -1)).all())
 
 
-def _hyperplane_map(L: np.ndarray, ring: Ring, n: int, nr: int) -> np.ndarray:
-    """The digit map of c -> d_lambda E over F_q^(n-1), lambda = E c with E
-    the columns e_i - e_n (i < n), from the digit map L of d_lambda: the
-    digits of E c and the columns of d_lambda E are both differences, and
-    F_q subtracts digit by digit mod p."""
+def _scanned_basis(K: np.ndarray, ring: Ring) -> np.ndarray:
+    """A basis of K ∩ H, H = {s(lambda) = 0}, from the (dim K, n) basis K
+    of a subspace, both with entries in F_p; K itself when K lies in H.
+    The full scan's K = I_n gives the rows e_i - e_n, i < n.
+
+    K's entries lie in F_p, so sigma_i = s(K_i) mod p.  With i0 the last i
+    with sigma_i != 0, the rows K_i - (sigma_i / sigma_i0) K_i0 (i != i0)
+    are a basis of K ∩ H with entries in F_p, so `scan_nullities` still
+    finds its Frobenius and self-kernel premises.  In K-coordinates the
+    candidate c of K ∩ H stands for c with c_i0 = -sum (sigma_i /
+    sigma_i0) c_i inserted, and sigma_i = 0 for every i > i0, so c_i0
+    depends only on the coordinates before it: the inserted coordinate is
+    zero when those are, and the leading one keeps its place.  The
+    candidates of K ∩ H therefore come in the order of their K-candidates,
+    the order of the carrier an all-of-K scan reports.
+    """
+    p = _kernels.field_params(ring)[0]
+    sigma = K.sum(1) % p
+    live = np.flatnonzero(sigma)
+    if not live.size:
+        return K
+    i0 = live[-1]
+    E = np.delete(np.eye(len(K), dtype=np.intp), i0, axis=0)
+    E[:, i0] = -np.delete(sigma, i0) * pow(int(sigma[i0]), -1, p) % p
+    return E @ K % p
+
+
+def _restrict(L: np.ndarray, B: np.ndarray, ring: Ring, nr: int
+              ) -> np.ndarray:
+    """The digit map of c -> rows(B^T c) B^T over F_q^D, from the digit map
+    L of lambda -> rows(lambda) over the unit weights of F_q^n, nr rows,
+    and a (D, n) matrix B with entries in F_p.  rows is linear and F_p acts
+    on the base-p digits of an entry digit by digit mod p, so the digits of
+    entry (r, b) of rows(x^t B_a) B^T are sum_{i, j} B_ai B_bj times the
+    digits of entry (r, j) of rows(x^t e_i): two integer matmuls mod p, one
+    on the column axis j and one on the basis axis i.  Raises `ValueError`
+    when an entry of B lies outside F_p."""
     p, kext, _ = _kernels.field_params(ring)
-    A = L.reshape(nr, n, kext, n, kext)  # (row, column j, t', basis i, t)
-    A = A[:, :-1] - A[:, -1:]
-    A = A[:, :, :, :-1] - A[:, :, :, -1:]
-    return (A % p).reshape(nr * (n - 1) * kext, (n - 1) * kext)
+    B = np.asarray(B, dtype=np.int64)
+    if ((B < 0) | (B >= p)).any():
+        raise ValueError(f"restriction bases need entries in F_{p}")
+    D, n = B.shape
+    A = B @ L.reshape(nr, n, kext * n * kext)  # (row, b, t' i t)
+    A = B @ A.reshape(nr * D * kext, n, kext)  # (row b t', a, t)
+    return (A % p).reshape(nr * D * kext, D * kext)
+
+
+def _scan_span(L: np.ndarray, nr: int, B: np.ndarray, ring: Ring
+               ) -> Tuple[np.ndarray, np.ndarray]:
+    """The nullity of rows(B^T c) B^T at every projective candidate c of
+    F_q^D, in candidate order, and the canonical ambient points B^T c of
+    those with nullity at least 2, from the digit map L of rows over the
+    unit weights, nr rows, and a (D, n) basis B with entries in F_p: one
+    `scan_nullities` call on `_restrict`'s map.  A basis of no rows scans
+    nothing."""
+    q, (D, n) = ring.cardinality, B.shape
+    if not D:
+        return np.zeros(0, dtype=np.uint8), np.zeros((0, n), dtype=np.int64)
+    nullities = _kernels.scan_nullities(_restrict(L, B, ring, nr), ring, D,
+                                        nr, D, 0,
+                                        _kernels.projective_total(q, D))
+    coeffs = _kernels.decode_candidates(np.flatnonzero(nullities >= 2), q, D)
+    return nullities, _kernels.projective_canon(
+        _kernels.ring_product(coeffs, B, ring), ring)
 
 
 def _scan_resonance_modn(m: Matroid, ring: IntegersModN,
@@ -362,18 +405,18 @@ def _resonant_mask(m: Matroid, ring: IntegersModN,
     mu_j r_i.  Over a field (k = 1) this reads rank d_lambda < n - 1.
 
     Only the tuples with s(lambda) = 0 mod p are eliminated, s the
-    coordinate sum.  The row-sum identity of `_scan_resonance_field`, T
-    d_lambda eta = s(lambda) eta - lambda s(eta), uses only that each point
-    j != k lies on one line with k, so it holds over every commutative
-    ring; `_check_row_sums` checks it on L once per call.  If s(lambda) is
-    a unit, d_lambda eta = 0 gives eta = s(lambda)^-1 s(eta) lambda, so
-    Z(lambda) = R lambda, which lies in P(lambda): lambda is not resonant.
+    coordinate sum.  The row-sum identity of d_lambda (`_row_sum_matrix`)
+    holds over every commutative ring, and `_sums_hold` checks it on L once
+    per call (a failure raises `ValueError`).  If s(lambda) is a unit, the
+    coordinate-sum lemma (`_sums_hold`) gives Z(lambda) = R lambda, which
+    lies in P(lambda): lambda is not resonant.
     The tuples left, s = 0 mod p, are lambda = (c, p j - s(c)) for c in
     (Z/p^k)^(n-1) and j < p^(k-1), once each; they are scanned as the
     tuples x = (j, c) of (Z/p^k)^n below p^(k-1) q^(n-1), through the digit
     map L E of x -> d_(E x).
     """
-    _check_row_sums(L, m, ring)
+    if not _sums_hold(L, _row_sum_matrix(m), ring):
+        raise ValueError(_UNSUMMED)
     p, k = _kernels.chain_params(ring)
     n, q = m.n, ring.n
     E = np.eye(n, k=1, dtype=np.int64)  # lambda = E x
@@ -495,14 +538,15 @@ def scan_component(graph: Graph, m: Matroid, ring: Ring,
                    cap: Optional[int] = None, jobs: int = 1) -> ComponentScan:
     """Classify every projective weight of K by its solution-space dimension.
 
-    When every trivial line of m is an edge of the graph, as for every
-    neighborly graph, the kernel eliminates only K ∩ H, H = {s(lambda) = 0}
-    with s the coordinate sum, and every weight of K off H is counted in
-    stratum 1 (proof in `_scanned_basis`); otherwise it eliminates all of K.
-    `universe`, the strata and the carrier always cover all of K, and the
-    cap is charged q^dim K either way.  Scans run in one thread: `jobs`
-    stays only because the benchmark harness passes `jobs=1`, and any other
-    value raises `ValueError`."""
+    When the rows of Z_Gamma sum as the coordinate-sum lemma needs
+    (`_sums_hold`; they do exactly when every trivial line of m is an edge
+    of the graph, as for every neighborly graph), the kernel eliminates
+    only K ∩ H, H = {s(lambda) = 0} with s the coordinate sum, and every
+    weight of K off H is counted in stratum 1; otherwise it eliminates all
+    of K.  `universe`, the strata and the carrier always cover all of K,
+    and the cap is charged q^dim K either way.  Scans run in one thread:
+    `jobs` stays only because the benchmark harness passes `jobs=1`, and
+    any other value raises `ValueError`."""
     if jobs != 1:
         raise ValueError(f"scans run in one thread, not jobs={jobs}")
     t0 = time.perf_counter()
@@ -518,68 +562,20 @@ def scan_component(graph: Graph, m: Matroid, ring: Ring,
     if q ** dim_k > budget:
         raise CapExceeded(f"{q}**{dim_k} K-weights exceed the budget {budget}")
 
-    B = _scanned_basis(np.asarray(kb, dtype=np.intp), graph, m, ring)
+    K = np.asarray(kb, dtype=np.intp)
+    L, nr, _ = _ambient_map(lambda lam: zgamma_rows(lam, graph, m, ring),
+                            m.n, ring)
+    B = (_scanned_basis(K, ring)
+         if _sums_hold(L, _zgamma_sum_matrix(graph, m), ring) else K)
+    nullities, carrier = _scan_span(L, nr, B, ring)
+    points = tuple(zip(map(tuple, carrier.tolist()),
+                       nullities[nullities >= 2].tolist()))
     total = _kernels.projective_total(q, dim_k)
-    nullities, points = np.zeros(0, dtype=np.uint8), ()
-    if len(B):  # no rows when K is one weight off H
-        L, nr, nc = _kernels.build_digit_map(
-            lambda lam: _k_rows(lam, graph, m, ring, B), B.tolist(), ring,
-            len(B))
-        nullities = _kernels.scan_nullities(
-            L, ring, len(B), nr, nc, 0, _kernels.projective_total(q, len(B)))
-        hits = np.flatnonzero(nullities >= 2)
-        coeffs = _kernels.decode_candidates(hits, q, len(B))
-        carrier = _kernels.projective_canon(
-            _kernels.ring_product(coeffs, B, ring), ring)
-        points = tuple(zip(map(tuple, carrier.tolist()),
-                           nullities[hits].tolist()))
     counts = np.bincount(nullities, minlength=2)
     counts[1] += total - nullities.size  # the weights of K off H
     strata = tuple((d, int(c)) for d, c in enumerate(counts) if c)
     return ComponentScan(graph, m.name, ring.spec, dim_k, total, strata,
                          points, time.perf_counter() - t0, budget)
-
-
-def _scanned_basis(K: np.ndarray, graph: Graph, m: Matroid,
-                   ring: Ring) -> np.ndarray:
-    """The rows whose span `scan_component` eliminates: a basis of K ∩ H
-    when `_sums_hold`, with H = {s(lambda) = 0} and K the (dim K, n) basis
-    of `k_gamma`, and K itself otherwise or when K lies in H.
-
-    Why the weights of K off H have dim Z_Gamma = 1: for every point k,
-    sum_{j != k} (lambda_j eta_k - lambda_k eta_j) = s(lambda) eta_k -
-    lambda_k s(eta).  Group the j by the line X through k and j: the terms
-    of X sum to lambda_X eta_k - lambda_k eta_X, the row (X, k) of Z_Gamma
-    when X is in x_Gamma; every other nontrivial line is a clique, so each
-    of its terms is an edge minor; a trivial line is one term, an edge
-    minor if it is an edge.  So if every trivial line is an edge, the rows
-    of Z_Gamma(lambda) sum to s(lambda) eta_k - lambda_k s(eta) for every
-    k, and eta in Z_Gamma(lambda) gives s(lambda) eta = s(eta) lambda.  A
-    weight with s(lambda) != 0 then has Z_Gamma(lambda) on the line through
-    lambda, which it contains (every row vanishes at eta = lambda): dim 1.
-    A nonzero lambda in H has s(eta) lambda = 0, so Z_Gamma(lambda) lies in
-    H, and its dimension is the nullity of the rows on K ∩ H.
-
-    K's entries lie in F_p, so sigma_i = s(K_i) mod p.  With i0 the last i
-    with sigma_i != 0, the rows K_i - (sigma_i / sigma_i0) K_i0 (i != i0)
-    are a basis of K ∩ H with entries in F_p, so `scan_nullities` still
-    finds its Frobenius and self-kernel premises.  In K-coordinates the
-    candidate c of K ∩ H stands for c with c_i0 = -sum (sigma_i /
-    sigma_i0) c_i inserted, and sigma_i = 0 for every i > i0, so c_i0
-    depends only on the coordinates before it: the inserted coordinate is
-    zero when those are, and the leading one keeps its place.  The
-    candidates of K ∩ H therefore come in the order of their K-candidates,
-    the order of the carrier an all-of-K scan reports.
-    """
-    p = _kernels.field_params(ring)[0]
-    sigma = K.sum(1) % p
-    live = np.flatnonzero(sigma)
-    if not live.size or not _sums_hold(graph, m, ring):
-        return K
-    i0 = live[-1]
-    E = np.delete(np.eye(len(K), dtype=np.intp), i0, axis=0)
-    E[:, i0] = -np.delete(sigma, i0) * pow(int(sigma[i0]), -1, p) % p
-    return E @ K % p
 
 
 def _zgamma_sum_matrix(graph: Graph, m: Matroid) -> np.ndarray:
@@ -589,8 +585,17 @@ def _zgamma_sum_matrix(graph: Graph, m: Matroid) -> np.ndarray:
     j != k of every other line through k, the edge row of {j, k} with sign
     +1 if j < k and -1 if j > k (the edge row of i < j is lambda_i eta_j -
     lambda_j eta_i).  A pair on an x_Gamma line takes that line's row
-    alone, even when it is an edge.  A trivial line that is not an edge
-    takes nothing, and the identity `_sums_hold` checks then fails."""
+    alone, even when it is an edge.
+
+    T_Gamma rows(lambda) = s(lambda) I - lambda 1^T exactly when every
+    trivial line of m is an edge of the graph.  Row k of the right side,
+    s(lambda) eta_k - lambda_k s(eta), is sum_{j != k} (lambda_j eta_k -
+    lambda_k eta_j); group the j by the line X through k and j.  The terms
+    of X sum to lambda_X eta_k - lambda_k eta_X, the row (X, k), when X is
+    in x_Gamma; every other nontrivial line is a clique, so each of its
+    terms is an edge minor; a trivial line is one term, an edge minor if it
+    is an edge.  A trivial line {j, k} that is not an edge takes nothing
+    and leaves the entry (k, k) at e_j zero instead of one."""
     xg = graph.x_gamma(m)
     at = {r: i for i, r in enumerate(
         [(X, k) for X in xg for k in X] + sorted(graph.edges))}
@@ -605,37 +610,6 @@ def _zgamma_sum_matrix(graph: Graph, m: Matroid) -> np.ndarray:
                 if j != k and e in at:
                     T[k - 1, at[e]] = 1 if j < k else -1
     return T
-
-
-def _sums_hold(graph: Graph, m: Matroid, ring: Ring) -> bool:
-    """Whether T_Gamma rows(lambda) = s(lambda) I - lambda 1^T over the
-    field, with T_Gamma = `_zgamma_sum_matrix` and rows(lambda) the
-    `zgamma_rows` matrix: row k of the right side is eta -> s(lambda) eta_k
-    - lambda_k s(eta).  Both sides are linear in lambda, so it is checked
-    at the n unit weights e_i, where the right side is I - e_i 1^T.  Those
-    rows have entries 0 and ±1, encoded below p.  It holds exactly when
-    every trivial line of m is an edge of the graph: a missing pair {j, k}
-    leaves entry (k, k) at e_j zero instead of one."""
-    p = _kernels.field_params(ring)[0]
-    T = _zgamma_sum_matrix(graph, m)
-    eye = np.eye(m.n, dtype=np.int64)
-    for i in range(m.n):
-        rows = np.asarray(zgamma_rows(tuple(eye[i].tolist()), graph, m, ring),
-                          dtype=np.int64).reshape(T.shape[1], m.n)
-        if ((T @ rows - eye + eye[i][:, None]) % p).any():
-            return False
-    return True
-
-
-def _k_rows(lam: Sequence, graph: Graph, m: Matroid, ring: Ring,
-            K: np.ndarray) -> np.ndarray:
-    """Rows of the Z_Gamma(lambda) system projected onto the span of the
-    rows of K (dim, n): each ambient row r becomes (r . b for b in K), so
-    the kernel is in K-coordinates.  The rows come from `zgamma_rows`; the
-    projection is one table product over the ring."""
-    rows = zgamma_rows(lam, graph, m, ring)
-    A = np.asarray(rows, dtype=np.intp).reshape(len(rows), m.n)
-    return _kernels.ring_product(A, K.T, ring)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,10 @@ time.
 
 `k_rows` projects the Z_Gamma(lambda) rows onto K through `Ring.sum` and
 `Ring.mul`, and `digit_map` splits each entry into its base-p digits in a
-Python loop.  They share nothing with the table product of
-`oracle._k_rows` or the numpy digit split of `_kernels.build_digit_map`
-beyond the exact row builder `zgamma_rows`, so the scans' maps can be held
-to them entry for entry.  `projective_points` lists the projective
+Python loop.  They share nothing with the digit-wise matmuls of
+`oracle._restrict` or the numpy digit split of `_kernels.build_digit_map`
+beyond the exact row builders, so the scans' maps can be held to them
+entry for entry.  `projective_points` lists the projective
 candidates with `itertools`, independently of the index arithmetic of
 `_kernels.decode_candidates`, and `frobenius_image` applies x -> x^p in
 `Ring` arithmetic, independently of the kernel's Frobenius table.

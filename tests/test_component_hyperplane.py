@@ -19,7 +19,7 @@ from resonance_lab import _kernels, oracle
 from resonance_lab.graphs import Graph, parse_graph
 from resonance_lab.matroid import catalog, from_lines
 from resonance_lab.neighborly import (_partition_walk, enumerate_neighborly,
-                                      k_gamma, z_gamma)
+                                      k_gamma, z_gamma, zgamma_rows)
 from resonance_lab.rings import make_ring
 
 HESSIAN_GRAPH = "123|456|789|αβγ"
@@ -36,6 +36,14 @@ def _scanned_dims(monkeypatch):
 
     monkeypatch.setattr(_kernels, "scan_nullities", counted)
     return dims
+
+
+def _zgamma_sums_hold(g, m, ring):
+    """The row-sum check of `scan_component`: T_Gamma against the digit map
+    of Z_Gamma over the unit weights."""
+    L = oracle._ambient_map(lambda lam: zgamma_rows(lam, g, m, ring), m.n,
+                            ring)[0]
+    return oracle._sums_hold(L, oracle._zgamma_sum_matrix(g, m), ring)
 
 
 def _k_weights(kb, ring, n):
@@ -56,7 +64,7 @@ def test_every_neighborly_partition_graph_passes_the_row_sum_identity(name):
         # clique closure makes every trivial line an edge
         assert set(m.trivial_lines) <= g.edges, g
         for spec in ("F2", "F3"):
-            assert oracle._sums_hold(g, m, make_ring(spec)), (g, spec)
+            assert _zgamma_sums_hold(g, m, make_ring(spec)), (g, spec)
 
 
 @pytest.mark.parametrize("name", ["braid-K4", "nonfano", "pencil-4"])
@@ -73,7 +81,7 @@ def test_the_identity_holds_exactly_when_every_trivial_line_is_an_edge(name):
         want = set(m.trivial_lines) <= g.edges
         held.add(want)
         for spec in ("F2", "F3", "F5"):
-            assert oracle._sums_hold(g, m, make_ring(spec)) == want, (g, spec)
+            assert _zgamma_sums_hold(g, m, make_ring(spec)) == want, (g, spec)
     assert held == {True, False} or not m.trivial_lines
 
 
@@ -122,7 +130,7 @@ def test_a_trivial_line_off_the_graph_scans_all_of_k(monkeypatch):
     # row, every weight has dim Z_Gamma = 4, and the scan must see them all
     m, ring = from_lines(4, [], "free4"), make_ring("F3")
     g = parse_graph("1|2|3|4", 4)
-    assert not oracle._sums_hold(g, m, ring)
+    assert not _zgamma_sums_hold(g, m, ring)
     dims = _scanned_dims(monkeypatch)
     cs = oracle.scan_component(g, m, ring)
     assert dims == [4] and cs.strata == ((4, 40),)
@@ -131,7 +139,7 @@ def test_a_trivial_line_off_the_graph_scans_all_of_k(monkeypatch):
     m = from_lines(4, [(1, 2, 3)], "line+point")
     g = parse_graph("1|2|3|4", 4)
     kb = k_gamma(g, m, ring)
-    assert not oracle._sums_hold(g, m, ring)
+    assert not _zgamma_sums_hold(g, m, ring)
     dims.clear()
     cs = oracle.scan_component(g, m, ring)
     assert dims == [len(kb)] == [3]

@@ -11,16 +11,18 @@ import digit_map_reference as ref
 from resonance_lab import _kernels, oracle
 from resonance_lab.graphs import parse_graph
 from resonance_lab.matroid import catalog
-from resonance_lab.neighborly import enumerate_neighborly, k_gamma
+from resonance_lab.neighborly import (enumerate_neighborly, k_gamma,
+                                      zgamma_rows)
 from resonance_lab.osalg import dlambda_matrix
 from resonance_lab.rings import make_ring, prime_power_factors
 
 
 def _scan_map(g, m, ring, kb):
-    """The digit map exactly as `scan_component` builds it."""
-    K = np.asarray(kb, dtype=np.intp)
-    return _kernels.build_digit_map(
-        lambda lam: oracle._k_rows(lam, g, m, ring, K), kb, ring, len(kb))
+    """The digit map of an all-of-K scan, built as `scan_component` builds
+    its maps: the Z_Gamma map over the unit weights, restricted to kb."""
+    L, nr, _ = oracle._ambient_map(lambda lam: zgamma_rows(lam, g, m, ring),
+                                   m.n, ring)
+    return oracle._restrict(L, kb, ring, nr), nr, len(kb)
 
 
 def _check_component(g, m, ring):

@@ -9,7 +9,8 @@ import digit_map_reference as ref
 from resonance_lab import _kernels, oracle
 from resonance_lab.graphs import parse_graph
 from resonance_lab.matroid import catalog
-from resonance_lab.neighborly import enumerate_neighborly, k_gamma
+from resonance_lab.neighborly import (enumerate_neighborly, k_gamma,
+                                      zgamma_rows)
 from resonance_lab.rings import Matrix, PrimeField, make_ring, rank_field
 
 HESSIAN_GRAPH = "123|456|789|αβγ"
@@ -31,10 +32,9 @@ def _component_map(text, name, spec):
 
 def _map_of(g, m, ring):
     kb = k_gamma(g, m, ring)
-    K = np.asarray(kb, dtype=np.intp)
-    L, nr, nc = _kernels.build_digit_map(
-        lambda lam: oracle._k_rows(lam, g, m, ring, K), kb, ring, len(kb))
-    return g, m, ring, kb, L, nr, nc
+    L, nr, _ = oracle._ambient_map(lambda lam: zgamma_rows(lam, g, m, ring),
+                                   m.n, ring)
+    return g, m, ring, kb, oracle._restrict(L, kb, ring, nr), nr, len(kb)
 
 
 def _digit_rank(L, nr, ring):

@@ -66,9 +66,10 @@ def _hessian_component_map(scale):
     m, ring = catalog("hessian"), make_ring("F9")
     g = parse_graph(HESSIAN_GRAPH, m.n)
     kb = [tuple(ring.mul(scale, x) for x in b) for b in k_gamma(g, m, ring)]
-    K = np.asarray(kb, dtype=np.intp)
+    # `oracle._restrict` refuses a basis off F_p, so the map is built from
+    # the reference projection onto the scaled basis
     L, nr, nc = _kernels.build_digit_map(
-        lambda lam: oracle._k_rows(lam, g, m, ring, K), kb, ring, len(kb))
+        lambda lam: ref.k_rows(lam, g, m, ring, kb), kb, ring, len(kb))
     return ring, len(kb), L, nr, nc
 
 

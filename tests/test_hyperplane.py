@@ -83,7 +83,8 @@ def _dropped_rows(m, lines):
 def test_a_digit_map_that_breaks_the_row_sums_is_refused(monkeypatch):
     m, ring = catalog("braid-K4"), make_ring("F3")
     L, nr, nc = oracle._dlambda_digit_map(m, ring)
-    oracle._check_row_sums(L, m, ring)
+    T = oracle._row_sum_matrix(m)
+    assert oracle._sums_hold(L, T, ring)
     # without its trivial lines, d_lambda keeps each weight in its own
     # kernel but not the row sums, and the lemma fails for it
     gone = _dropped_rows(m, m.trivial_lines)
@@ -91,8 +92,7 @@ def test_a_digit_map_that_breaks_the_row_sums_is_refused(monkeypatch):
     broken = L.reshape(nr, -1).copy()
     broken[gone] = 0
     broken = broken.reshape(L.shape)
-    with pytest.raises(ValueError, match="do not sum"):
-        oracle._check_row_sums(broken, m, ring)
+    assert not oracle._sums_hold(broken, T, ring)
 
     def nullity_without_gone(lam):
         kept = [r for i, r in enumerate(dlambda_matrix(lam, m, ring).rows)
@@ -105,12 +105,14 @@ def test_a_digit_map_that_breaks_the_row_sums_is_refused(monkeypatch):
     # twice one row: the kernel is the same, the row sums are not
     doubled = L.reshape(nr, -1).copy()
     doubled[0] = 2 * doubled[0] % 3
-    with pytest.raises(ValueError, match="do not sum"):
-        oracle._check_row_sums(doubled.reshape(L.shape), m, ring)
-    monkeypatch.setattr(oracle, "_dlambda_digit_map",
-                        lambda m, ring: (broken, nr, nc))
-    with pytest.raises(ValueError, match="do not sum"):
-        oracle.scan_resonance(m, ring)
+    doubled = doubled.reshape(L.shape)
+    assert not oracle._sums_hold(doubled, T, ring)
+    # the scan refuses either map where it builds its digit map
+    for bad in (broken, doubled):
+        monkeypatch.setattr(oracle, "_dlambda_digit_map",
+                            lambda m, ring, bad=bad: (bad, nr, nc))
+        with pytest.raises(ValueError, match="do not sum"):
+            oracle.scan_resonance(m, ring)
 
 
 @pytest.mark.parametrize("name", ["braid-K4", "nonfano", "deletedB3",
@@ -118,7 +120,8 @@ def test_a_digit_map_that_breaks_the_row_sums_is_refused(monkeypatch):
 @pytest.mark.parametrize("spec", ["F2", "F4", "F9"])
 def test_every_catalog_digit_map_passes_the_row_sum_check(name, spec):
     m, ring = catalog(name), make_ring(spec)
-    oracle._check_row_sums(oracle._dlambda_digit_map(m, ring)[0], m, ring)
+    assert oracle._sums_hold(oracle._dlambda_digit_map(m, ring)[0],
+                             oracle._row_sum_matrix(m), ring)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -188,7 +191,9 @@ FIELD_SCANS = [("braid-K4", "F2"), ("braid-K4", "F3"), ("braid-K4", "F4"),
 def test_reported_points_take_z_of_dimension_and_partner(name, spec):
     m, ring = catalog(name), make_ring(spec)
     L, nr, _ = oracle._dlambda_digit_map(m, ring)
-    lams, dims = oracle._scan_resonance_field(m, ring, L, nr)
+    H = oracle._scanned_basis(np.eye(m.n, dtype=np.intp), ring)
+    nullities, lams = oracle._scan_span(L, nr, H, ring)
+    dims = nullities[nullities >= 2]
     etas = oracle._partners(L, ring, lams, dims)
     points = oracle.scan_resonance(m, ring).points
     assert points

@@ -19,7 +19,8 @@ import digit_map_reference as ref
 from resonance_lab import _kernels, oracle
 from resonance_lab.graphs import parse_graph
 from resonance_lab.matroid import catalog
-from resonance_lab.neighborly import enumerate_neighborly, k_gamma
+from resonance_lab.neighborly import (enumerate_neighborly, k_gamma,
+                                      zgamma_rows)
 from resonance_lab.osalg import dlambda_matrix
 from resonance_lab.rings import Matrix, make_ring, rank_field
 
@@ -28,10 +29,9 @@ HESSIAN_GRAPH = "123|456|789|αβγ"
 
 def _component_map(g, m, ring):
     kb = k_gamma(g, m, ring)
-    K = np.asarray(kb, dtype=np.intp)
-    L, nr, nc = _kernels.build_digit_map(
-        lambda lam: oracle._k_rows(lam, g, m, ring, K), kb, ring, len(kb))
-    return kb, L, nr, nc
+    L, nr, _ = oracle._ambient_map(lambda lam: zgamma_rows(lam, g, m, ring),
+                                   m.n, ring)
+    return kb, oracle._restrict(L, kb, ring, nr), nr, len(kb)
 
 
 def _premise_holds(L, ring, dim, nr, nc):
