@@ -4,14 +4,15 @@ For the scans, the map from a candidate weight to its system matrix is
 linear over the prime field in the base-p digits of the candidate's
 coordinates (over Z/p^k: linear over Z/p^k in the coordinates themselves,
 read as one base-p^k digit each).  Each scan therefore precomputes one
-integer digit matrix L by evaluating the exact reference row builder on
-unit digit inputs.  The entries still come from that builder; projecting
-them onto a component's K (`ring_product`, through the add/mul tables) and
-splitting them into digits are table and numpy products, with no Python
-arithmetic per entry.  A block of candidates then costs one matmul (exact at
-these sizes) and one elimination of the whole (B, R, C) block at once,
-whose steps are numpy operations on all B matrices with ring arithmetic
-through add/mul lookup tables plus negmul = -(a*b).
+integer digit matrix L, `build_digit_map`, from the system's integer
+coefficients: every entry the scans eliminate is a 0/±1 combination of the
+candidate's coordinates, read off the matroid's lines and the graph's
+edges, and an integer coefficient acts on each base-p digit on its own, so
+L is the coefficient matrix mod p tensored with the k x k identity, with
+no `Ring` arithmetic at all.  A block of candidates then costs one matmul
+(exact at these sizes) and one elimination of the whole (B, R, C) block at
+once, whose steps are numpy operations on all B matrices with ring
+arithmetic through add/mul lookup tables plus negmul = -(a*b).
 
 Every candidate lies in the kernel of its own system, so every nullity is
 at least 1: d_lambda lambda = 0 because a_lambda ^ a_lambda = 0, and a
@@ -88,7 +89,7 @@ remainder theorem; the caller scans each factor and joins the answers.
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -138,37 +139,31 @@ def projective_total(q: int, dim: int) -> int:
     return (q ** dim - 1) // (q - 1)
 
 
-def build_digit_map(system_rows: Callable[[tuple], Sequence[Sequence[int]]],
-                    basis: Sequence[tuple], ring: Ring,
-                    ncols: int) -> Tuple[np.ndarray, int, int]:
-    """Digit matrix of the candidate -> system-matrix map.
+def build_digit_map(coeffs: np.ndarray,
+                    ring: Ring) -> Tuple[np.ndarray, int, int]:
+    """Digit matrix of the candidate -> system-matrix map, as (L, nrows,
+    ncols), from the integer coefficient tensor C = coeffs of shape (nrows,
+    ncols, n): entry (r, j) of the system at lambda is sum_i C[r, j, i]
+    lambda_i.
 
-    Column (i, t) holds the base-p digits of the flattened matrix the exact
-    row builder produces for the basis vector i scaled by x^t, which pins the
-    kernels to the reference implementation entry for entry.  The builder's
-    rows become one int64 array per column, and one vectorized
-    `// p**t % p` splits every entry into its digits.  Z/N counts as
-    modulus N with extension degree 1: one column per basis vector, holding
-    the entries mod N.  `ncols` is the width of the system matrix, which
-    the caller knows even when the system has no rows.
+    Row (r, j, t') and column (i, t) of L hold digit t' of entry (r, j) of
+    the system at x^t e_i.  An integer coefficient c acts on each base-p
+    digit of an element on its own, as c mod p (the argument of
+    `oracle._restrict`), so that digit is (C[r, j, i] mod p) [t' = t]: L is
+    (C mod p) ⊗ I_k.  Z/N counts as modulus N with extension degree 1: one
+    column per coordinate, holding the coefficients mod N.  A tensor with
+    no coordinates (n = 0) raises `ValueError`.
     """
     if isinstance(ring, IntegersModN):
         p, kext = ring.n, 1
     else:
         p, kext, _ = field_params(ring)
-    if not basis:
-        raise ValueError("empty basis: nothing to scan")
-    cols = []
-    for b in basis:
-        for t in range(kext):
-            scalar = p ** t  # the encoding of x^t
-            rows = system_rows(tuple(ring.mul(scalar, x) for x in b))
-            cols.append(np.asarray(rows, dtype=np.int64).reshape(
-                len(rows), ncols))
-    M = np.stack(cols, axis=-1)  # (nrows, ncols, width)
-    pw = p ** np.arange(kext, dtype=np.int64)
-    L = M[:, :, None, :] // pw[:, None] % p  # (nrows, ncols, kext, width)
-    return L.reshape(-1, len(cols)), M.shape[0], ncols
+    C = np.asarray(coeffs, dtype=np.int64)
+    nrows, ncols, n = C.shape
+    if not n:
+        raise ValueError("a system of no coordinates: nothing to scan")
+    return (np.kron(C.reshape(nrows * ncols, n) % p,
+                    np.eye(kext, dtype=np.int64)), nrows, ncols)
 
 
 def ring_product(A: np.ndarray, B: np.ndarray, ring: Ring) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import FrozenSet, Iterable, Tuple
+from typing import Dict, FrozenSet, Iterable, Set, Tuple
 
 from .matroid import Matroid, format_line, parse_points
 
@@ -38,9 +38,17 @@ class Graph:
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
 
+    @cached_property
+    def _adjacency(self) -> Dict[int, FrozenSet[int]]:
+        """The neighbors of every vertex, from one pass over the edges."""
+        adj: Dict[int, Set[int]] = {v: set() for v in range(1, self.n + 1)}
+        for i, j in self.edges:
+            adj[i].add(j)
+            adj[j].add(i)
+        return {v: frozenset(nb) for v, nb in adj.items()}
+
     def neighbors(self, v: int) -> frozenset:
-        return frozenset(j for i, j in self.edges if i == v) | frozenset(
-            i for i, j in self.edges if j == v)
+        return self._adjacency.get(v, frozenset())
 
     def is_clique(self, points: Iterable[int]) -> bool:
         pts = sorted(set(points))
@@ -49,7 +57,7 @@ class Graph:
     @cached_property
     def blocks(self) -> Tuple[Tuple[int, ...], ...]:
         """Maximal cliques, sorted; isolated vertices appear as singletons."""
-        adj = {v: set(self.neighbors(v)) for v in range(1, self.n + 1)}
+        adj = self._adjacency
         out = []
 
         def bron_kerbosch(r, p, x):
@@ -67,8 +75,8 @@ class Graph:
 
     @cached_property
     def cone_vertices(self) -> Tuple[int, ...]:
-        return tuple(v for v in range(1, self.n + 1)
-                     if len(self.neighbors(v)) == self.n - 1)
+        return tuple(v for v, nb in self._adjacency.items()
+                     if len(nb) == self.n - 1)
 
     def x_gamma(self, m: Matroid) -> Tuple[Tuple[int, ...], ...]:
         """Nontrivial lines of m that are not cliques of this graph."""

@@ -110,8 +110,9 @@ def _in_k(lam: Sequence, x_lines: Sequence[Tuple[int, ...]], ring: Ring) -> bool
 def zgamma_rows(lam: Sequence, graph: Graph, m: Matroid, ring: Ring) -> List[tuple]:
     """Linear conditions on a partner eta: per-line vector equations over
     x_gamma plus a vanishing minor for every edge.  Row order is fixed
-    (lines lex, k ascending within a line, then edges lex) so the scan
-    kernels and the exact path agree entry for entry.
+    (lines lex, k ascending within a line, then edges lex), the order of
+    the scans' closed form `oracle._zgamma_coeffs`, so the scan kernels and
+    this exact path agree entry for entry.
     """
     lam = ring.coerce_vector(lam)
     rows = [r for X in graph.x_gamma(m) for r in _line_rows(lam, X, X, ring)]
@@ -320,6 +321,15 @@ def _partition_walk(m: Matroid, cone_free: bool = False) -> Iterator[Graph]:
     meets two blocks and one of them holds a single point of Y.  Each line
     with |Y| >= 2 is checked once, when its last point is placed, and a
     failing branch is cut there: no partition below it can repair the line.
+
+    A nonempty C is skipped outright when its forced pairs join every point
+    off C into one class (`_one_forced_class`).  A line with |Y| = 2 forces
+    its two points into one block: in two blocks, each would hold a single
+    point of Y, and X would fail clique closure.  Sharing a block is
+    transitive, so each union-find class of the forced pairs lies in one
+    block of every partition that passes.  When one class holds every point
+    off C, such a partition has at most one block, and the walk emits none
+    of those for a nonempty C; C = () emits the complete graph.
     """
     verts = range(1, m.n + 1)
     lines = m.all_lines
@@ -332,6 +342,8 @@ def _cone_partition_graphs(n: int, cone: Tuple[int, ...],
                            lines: Sequence[Tuple[int, ...]]) -> List[Graph]:
     """Graphs of one cone set's surviving partitions, in RGS order."""
     rest = [v for v in range(1, n + 1) if v not in cone]
+    if cone and _one_forced_class(rest, lines):
+        return []
     pos = {v: i for i, v in enumerate(rest)}
     checks: List[List[Tuple[int, ...]]] = [[] for _ in rest]
     for X in lines:
@@ -367,6 +379,28 @@ def _cone_partition_graphs(n: int, cone: Tuple[int, ...],
 
     place(0, 0)
     return out
+
+
+def _one_forced_class(rest: Sequence[int],
+                      lines: Sequence[Tuple[int, ...]]) -> bool:
+    """Whether the lines with exactly two points in rest join all of rest
+    into at most one class, by union-find over those pairs."""
+    root = {v: v for v in rest}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    classes = len(rest)
+    for X in lines:
+        ys = [v for v in X if v in root]
+        if len(ys) == 2:
+            a, b = find(ys[0]), find(ys[1])
+            if a != b:
+                root[a] = b
+                classes -= 1
+    return classes <= 1
 
 
 def _all_graphs(m: Matroid) -> Iterator[Graph]:

@@ -48,7 +48,7 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ from . import _kernels
 from .graphs import Graph
 from .linegeom import Subspace, depth as geom_depth, span
 from .matroid import Matroid
-from .neighborly import CapExceeded, k_gamma, zgamma_rows
-from .osalg import dlambda_matrix
+from .neighborly import CapExceeded, k_gamma
 from .osalg import is_resonant  # noqa: F401  perfbench/selftest.py reads oracle.is_resonant
 from .rings import (IntegersModN, Matrix, Ring, kernel_field,
                     prime_power_factors, rank_field)
@@ -183,17 +182,10 @@ def scan_resonance(m: Matroid, ring: Ring, cap: Optional[int] = None,
                       time.perf_counter() - t0, budget)
 
 
-def _ambient_map(rows: Callable[[tuple], Sequence[Sequence[int]]], n: int,
-                 ring: Ring) -> Tuple[np.ndarray, int, int]:
-    """Digit map of lambda -> rows(lambda) over the unit basis of R^n."""
-    basis = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    return _kernels.build_digit_map(rows, basis, ring, n)
-
-
 def _dlambda_digit_map(m: Matroid, ring: Ring) -> Tuple[np.ndarray, int, int]:
-    """Digit map of lambda -> d_lambda over the unit basis of R^n."""
-    return _ambient_map(lambda lam: dlambda_matrix(lam, m, ring).rows, m.n,
-                        ring)
+    """Digit map of lambda -> d_lambda over the unit weights of R^n, from
+    its closed form `_dlambda_coeffs`."""
+    return _kernels.build_digit_map(_dlambda_coeffs(m), ring)
 
 
 _UNSUMMED = ("the rows of d_lambda do not sum to s(lambda) eta_k - lambda_k "
@@ -222,15 +214,45 @@ def _row_sum_matrix(m: Matroid) -> np.ndarray:
     return T
 
 
+def _dlambda_coeffs(m: Matroid) -> np.ndarray:
+    """The (R, n, n) coefficient tensor of d_lambda (`_line_coeffs`), in the
+    row order of `osalg.dlambda_matrix`: the rows (X, k) for X in
+    `m.all_lines` and k in X minus its minimum."""
+    return _line_coeffs(m.n, [(X, k) for X in m.all_lines for k in X[1:]])
+
+
+def _line_coeffs(n: int, line_rows: Sequence[Tuple[tuple, int]],
+                 edges: Sequence[Tuple[int, int]] = ()) -> np.ndarray:
+    """The (R, n, n) 0/±1 coefficient tensor C of a system with one row
+    eta -> lambda_X eta_k - lambda_k eta_X per (X, k) of line_rows, then
+    one row eta -> lambda_i eta_j - lambda_j eta_i per edge (i, j): entry
+    (r, j) of row r is sum_i C[r, j, i] lambda_i (`_kernels.build_digit_map`),
+    so C[r] is outer(e_k, 1_X) - outer(1_X, e_k) for a line row and
+    outer(e_j, e_i) - outer(e_i, e_j) for an edge row.  Within each outer
+    product the index triples are distinct, so two fancy-index updates fill
+    all the line rows."""
+    C = np.zeros((len(line_rows) + len(edges), n, n), dtype=np.int64)
+    if line_rows:
+        r, k, x = np.array([(r, k - 1, i - 1) for r, (X, k)
+                            in enumerate(line_rows) for i in X]).T
+        C[r, k, x] += 1
+        C[r, x, k] -= 1
+    if edges:
+        r = np.arange(len(line_rows), len(C))
+        i, j = np.array(edges).T - 1
+        C[r, j, i], C[r, i, j] = 1, -1
+    return C
+
+
 def _sums_hold(L: np.ndarray, T: np.ndarray, ring: Ring) -> bool:
     """Whether T rows(lambda) = s(lambda) I - lambda 1^T for every weight,
     s the coordinate sum, with L the digit map of a system's R rows over
-    the unit weights of F_q^n or (Z/N)^n (`_ambient_map`) and T an integer
-    (n, R) matrix: row k of the right side is eta -> s(lambda) eta_k -
-    lambda_k s(eta).  Both sides are linear in lambda's digits (over Z/N
-    one digit per coordinate, the coordinate itself), so the identity holds
-    iff it holds at each unit digit x^t e_i, where the digit t' of the right
-    side's entry (k, j) is [t' = t] ([k = j] - [k = i]).
+    the unit weights of F_q^n or (Z/N)^n (`_kernels.build_digit_map`) and
+    T an integer (n, R) matrix: row k of the right side is eta -> s(lambda)
+    eta_k - lambda_k s(eta).  Both sides are linear in lambda's digits
+    (over Z/N one digit per coordinate, the coordinate itself), so the
+    identity holds iff it holds at each unit digit x^t e_i, where the digit
+    t' of the right side's entry (k, j) is [t' = t] ([k = j] - [k = i]).
     `_row_sum_matrix` gives the T of d_lambda, `_zgamma_sum_matrix` that of
     Z_Gamma.
 
@@ -563,8 +585,7 @@ def scan_component(graph: Graph, m: Matroid, ring: Ring,
         raise CapExceeded(f"{q}**{dim_k} K-weights exceed the budget {budget}")
 
     K = np.asarray(kb, dtype=np.intp)
-    L, nr, _ = _ambient_map(lambda lam: zgamma_rows(lam, graph, m, ring),
-                            m.n, ring)
+    L, nr, _ = _kernels.build_digit_map(_zgamma_coeffs(graph, m), ring)
     B = (_scanned_basis(K, ring)
          if _sums_hold(L, _zgamma_sum_matrix(graph, m), ring) else K)
     nullities, carrier = _scan_span(L, nr, B, ring)
@@ -576,6 +597,15 @@ def scan_component(graph: Graph, m: Matroid, ring: Ring,
     strata = tuple((d, int(c)) for d, c in enumerate(counts) if c)
     return ComponentScan(graph, m.name, ring.spec, dim_k, total, strata,
                          points, time.perf_counter() - t0, budget)
+
+
+def _zgamma_coeffs(graph: Graph, m: Matroid) -> np.ndarray:
+    """The (R, n, n) coefficient tensor of Z_Gamma's rows (`_line_coeffs`),
+    in the row order of `neighborly.zgamma_rows`: the line rows (X, k) for
+    X in x_Gamma and every k in X, then the edge rows (i, j) in sorted
+    order."""
+    return _line_coeffs(m.n, [(X, k) for X in graph.x_gamma(m) for k in X],
+                        sorted(graph.edges))
 
 
 def _zgamma_sum_matrix(graph: Graph, m: Matroid) -> np.ndarray:

@@ -2,14 +2,16 @@
 time.
 
 `k_rows` projects the Z_Gamma(lambda) rows onto K through `Ring.sum` and
-`Ring.mul`, and `digit_map` splits each entry into its base-p digits in a
-Python loop.  They share nothing with the digit-wise matmuls of
-`oracle._restrict` or the numpy digit split of `_kernels.build_digit_map`
-beyond the exact row builders, so the scans' maps can be held to them
-entry for entry.  `projective_points` lists the projective
-candidates with `itertools`, independently of the index arithmetic of
-`_kernels.decode_candidates`, and `frobenius_image` applies x -> x^p in
-`Ring` arithmetic, independently of the kernel's Frobenius table.
+`Ring.mul`, and `digit_map` evaluates a row builder (`osalg.dlambda_matrix`,
+`neighborly.zgamma_rows` or any other) at each unit digit and splits each
+entry into its base-p digits in a Python loop.  They share nothing with the
+digit-wise matmuls of `oracle._restrict` or with the closed-form
+coefficient tensors that `_kernels.build_digit_map` tensors with the
+identity, so the scans' maps can be held to them entry for entry.
+`projective_points` lists the projective candidates with `itertools`,
+independently of the index arithmetic of `_kernels.decode_candidates`, and
+`frobenius_image` applies x -> x^p in `Ring` arithmetic, independently of
+the kernel's Frobenius table.
 """
 
 import itertools
@@ -30,9 +32,9 @@ def k_rows(lam, graph, m, ring, kb) -> List[tuple]:
 
 
 def digit_map(system_rows, basis, ring, ncols):
-    """(L, nrows, ncols) laid out as `_kernels.build_digit_map` lays it out:
-    column (i, t) holds the base-p digits of the flattened rows for the
-    basis vector i scaled by x^t."""
+    """(L, nrows, ncols) laid out as `_kernels.build_digit_map` lays it out,
+    from the row builder system_rows: column (i, t) holds the base-p digits
+    of the flattened rows for the basis vector i scaled by x^t."""
     if isinstance(ring, IntegersModN):
         p, kext = ring.n, 1
     else:

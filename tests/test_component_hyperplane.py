@@ -19,7 +19,7 @@ from resonance_lab import _kernels, oracle
 from resonance_lab.graphs import Graph, parse_graph
 from resonance_lab.matroid import catalog, from_lines
 from resonance_lab.neighborly import (_partition_walk, enumerate_neighborly,
-                                      k_gamma, z_gamma, zgamma_rows)
+                                      k_gamma, z_gamma)
 from resonance_lab.rings import make_ring
 
 HESSIAN_GRAPH = "123|456|789|αβγ"
@@ -41,8 +41,7 @@ def _scanned_dims(monkeypatch):
 def _zgamma_sums_hold(g, m, ring):
     """The row-sum check of `scan_component`: T_Gamma against the digit map
     of Z_Gamma over the unit weights."""
-    L = oracle._ambient_map(lambda lam: zgamma_rows(lam, g, m, ring), m.n,
-                            ring)[0]
+    L = _kernels.build_digit_map(oracle._zgamma_coeffs(g, m), ring)[0]
     return oracle._sums_hold(L, oracle._zgamma_sum_matrix(g, m), ring)
 
 

@@ -9,8 +9,7 @@ import digit_map_reference as ref
 from resonance_lab import _kernels, oracle
 from resonance_lab.graphs import parse_graph
 from resonance_lab.matroid import catalog
-from resonance_lab.neighborly import (enumerate_neighborly, k_gamma,
-                                      zgamma_rows)
+from resonance_lab.neighborly import enumerate_neighborly, k_gamma
 from resonance_lab.rings import Matrix, PrimeField, make_ring, rank_field
 
 HESSIAN_GRAPH = "123|456|789|αβγ"
@@ -32,8 +31,7 @@ def _component_map(text, name, spec):
 
 def _map_of(g, m, ring):
     kb = k_gamma(g, m, ring)
-    L, nr, _ = oracle._ambient_map(lambda lam: zgamma_rows(lam, g, m, ring),
-                                   m.n, ring)
+    L, nr, _ = _kernels.build_digit_map(oracle._zgamma_coeffs(g, m), ring)
     return g, m, ring, kb, oracle._restrict(L, kb, ring, nr), nr, len(kb)
 
 

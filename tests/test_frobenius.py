@@ -68,7 +68,7 @@ def _hessian_component_map(scale):
     kb = [tuple(ring.mul(scale, x) for x in b) for b in k_gamma(g, m, ring)]
     # `oracle._restrict` refuses a basis off F_p, so the map is built from
     # the reference projection onto the scaled basis
-    L, nr, nc = _kernels.build_digit_map(
+    L, nr, nc = ref.digit_map(
         lambda lam: ref.k_rows(lam, g, m, ring, kb), kb, ring, len(kb))
     return ring, len(kb), L, nr, nc
 

@@ -1,5 +1,8 @@
 """Graphs, maximal-clique blocks, and the neighborly predicate."""
 
+import itertools
+import random
+
 import pytest
 
 from resonance_lab.graphs import Graph, from_blocks, is_neighborly, parse_graph
@@ -73,3 +76,26 @@ def test_x_gamma_nontrivial_noncliques():
                                for j in range(i + 1, 8)
                                if len({i, j} & {1, 3, 6}) <= 1])
     assert loc.x_gamma(m) == ((1, 3, 6),)
+
+
+def test_adjacency_map_matches_an_edge_scan():
+    # neighbors, blocks and cone vertices read one adjacency map; each must
+    # equal what a scan of the edge set gives, a vertex off 1..n included
+    rng = random.Random(7)
+    for n in range(1, 9):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for _ in range(20):
+            g = Graph.from_edges(n, [e for e in pairs if rng.random() < 0.6])
+            for v in range(0, n + 2):
+                assert g.neighbors(v) == frozenset(
+                    w for e in g.edges if v in e for w in e if w != v), (g, v)
+            assert g.cone_vertices == tuple(
+                v for v in range(1, n + 1)
+                if sum(v in e for e in g.edges) == n - 1), g
+            # every block is a maximal clique, and every edge lies in one
+            for b in g.blocks:
+                assert g.is_clique(b) and not any(
+                    g.is_clique(b + (v,)) for v in range(1, n + 1)
+                    if v not in b), (g, b)
+            assert all(any(set(e) <= set(b) for b in g.blocks)
+                       for e in g.edges), g

@@ -86,16 +86,18 @@ def test_empty_window_and_all_zero_digit_map():
         out = _kernels.scan_nullities(np.zeros_like(L), ring, m.n, nr, nc,
                                       5, hi)
         assert out.tolist() == [nc] * (hi - 5)
-    # no candidate basis has no digit map at all
-    with pytest.raises(ValueError):
-        _kernels.build_digit_map(lambda lam: [[0]], [], ring, 1)
+    # a system of no coordinates has no digit map at all
+    with pytest.raises(ValueError, match="no coordinates"):
+        _kernels.build_digit_map(np.zeros((1, 1, 0), dtype=np.int64), ring)
 
 
 def test_digit_map_of_a_system_with_no_rows():
     ring = make_ring("F3")
     basis = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    L, nr, nc = _kernels.build_digit_map(lambda lam: [], basis, ring, 4)
+    L, nr, nc = ref.digit_map(lambda lam: [], basis, ring, 4)
     assert (nr, nc) == (0, 4) and L.shape == (0, 4)
+    got = _kernels.build_digit_map(np.zeros((0, 4, 4), dtype=np.int64), ring)
+    assert got[1:] == (nr, nc) and np.array_equal(got[0], L)
     nul = _kernels.scan_nullities(L, ring, 4, nr, nc, 0, 40)
     assert nul.tolist() == [4] * 40
 
@@ -150,9 +152,10 @@ def test_windows_glue_across_block_boundaries():
 def test_zero_digit_map_has_full_nullity():
     ring = make_ring("F4")
     basis = [tuple(int(i == j) for j in range(3)) for i in range(3)]
-    L, nr, nc = _kernels.build_digit_map(lambda lam: [[0] * 5] * 4, basis,
-                                         ring, 5)
+    L, nr, nc = ref.digit_map(lambda lam: [[0] * 5] * 4, basis, ring, 5)
     assert (nr, nc) == (4, 5) and not L.any()
+    got = _kernels.build_digit_map(np.zeros((4, 5, 3), dtype=np.int64), ring)
+    assert got[1:] == (nr, nc) and np.array_equal(got[0], L)
     nul = _kernels.scan_nullities(L, ring, 3, nr, nc, 0, 21)
     assert nul.tolist() == [5] * 21
 

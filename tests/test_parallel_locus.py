@@ -17,6 +17,7 @@ import itertools
 import numpy as np
 import pytest
 
+import digit_map_reference as ref
 from resonance_lab import _kernels, oracle
 from resonance_lab.matroid import catalog
 from resonance_lab.osalg import dlambda_matrix
@@ -84,7 +85,7 @@ def test_mask_matches_the_stacked_minors_system(name):
     m, ring = catalog(name), IntegersModN(4)
     n, total = m.n, 4 ** m.n
     basis = [tuple(int(j == i) for j in range(n)) for i in range(n)]
-    L, nr, nc = _kernels.build_digit_map(
+    L, nr, nc = ref.digit_map(
         lambda lam: _stacked_rows(lam, m, ring), basis, ring, n)
     nd = nr - n * (n - 1) // 2
     z_len = _kernels.scan_lengths(L[:nd * nc], ring, n, nd, nc, 0, total)

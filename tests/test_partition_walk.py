@@ -19,8 +19,8 @@ from neighborly_reference import (dedup, partition_graphs,
                                   reference_candidates, reference_enumeration)
 from resonance_lab.graphs import Graph, from_blocks, is_neighborly, parse_graph
 from resonance_lab.matroid import catalog, from_lines
-from resonance_lab.neighborly import (_partition_walk, enumerate_neighborly,
-                                      k_gamma)
+from resonance_lab.neighborly import (_one_forced_class, _partition_walk,
+                                      enumerate_neighborly, k_gamma)
 from resonance_lab.rings import make_ring
 
 F3 = make_ring("F3")
@@ -68,6 +68,46 @@ def test_walk_candidates_match_reference_on_random_spaces(m):
     cone_free = [g for g in dedup(_partition_walk(m, cone_free=True))
                  if not g.cone_vertices]
     assert cone_free == [g for g in ref if not g.cone_vertices]
+
+
+def _skipped_partitions_fail(m) -> int:
+    """Every nonempty cone set C whose forced pairs join all the points off
+    C into one class, with each partition of those points into two or more
+    blocks (by `_partitions`) checked to fail `is_neighborly`; returns the
+    number of such C."""
+    verts = range(1, m.n + 1)
+    skipped = 0
+    for size in range(1, m.n + 1):
+        for cone in itertools.combinations(verts, size):
+            rest = [v for v in verts if v not in cone]
+            if not _one_forced_class(rest, m.all_lines):
+                continue
+            skipped += 1
+            # the edges in sorted pairs, so `Graph` needs no from_edges pass
+            joins = frozenset((min(c, v), max(c, v))
+                              for c in cone for v in verts if v != c)
+            for blocks in _partitions(rest):
+                if len(blocks) < 2:
+                    continue
+                g = Graph(m.n, joins.union(
+                    e for b in blocks
+                    for e in itertools.combinations(sorted(b), 2)))
+                assert not is_neighborly(g, m), (cone, blocks)
+    return skipped
+
+
+@pytest.mark.parametrize("name", FIXTURES + ["olive-samansky"])
+def test_skipped_cone_sets_have_no_neighborly_partition(name):
+    # a nonempty cone set whose forced pairs join every point off it into
+    # one class is skipped by the walk: no partition into two or more
+    # blocks may pass clique closure
+    assert _skipped_partitions_fail(catalog(name))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(partial_linear_spaces())
+def test_skipped_cone_sets_have_no_neighborly_partition_on_random_spaces(m):
+    _skipped_partitions_fail(m)
 
 
 @pytest.mark.parametrize("name", FIXTURES + ["olive-samansky", "hessian"])

@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 import digit_map_reference as ref
-from resonance_lab import oracle
+from resonance_lab import _kernels, oracle
 from resonance_lab.matroid import catalog
-from resonance_lab.neighborly import (enumerate_neighborly, k_gamma,
-                                      zgamma_rows)
+from resonance_lab.neighborly import enumerate_neighborly, k_gamma
 from resonance_lab.osalg import dlambda_matrix
 from resonance_lab.rings import make_ring
 
@@ -33,8 +32,7 @@ def test_component_restrictions_equal_the_reference(name, spec):
         kb = k_gamma(g, m, ring)
         if not kb:
             continue
-        L, nr, _ = oracle._ambient_map(
-            lambda lam: zgamma_rows(lam, g, m, ring), m.n, ring)
+        L, nr, _ = _kernels.build_digit_map(oracle._zgamma_coeffs(g, m), ring)
         K = np.asarray(kb, dtype=np.intp)
         H = oracle._scanned_basis(K, ring)
         # H spans the part of K in the hyperplane of sum zero

@@ -19,8 +19,7 @@ import digit_map_reference as ref
 from resonance_lab import _kernels, oracle
 from resonance_lab.graphs import parse_graph
 from resonance_lab.matroid import catalog
-from resonance_lab.neighborly import (enumerate_neighborly, k_gamma,
-                                      zgamma_rows)
+from resonance_lab.neighborly import enumerate_neighborly, k_gamma
 from resonance_lab.osalg import dlambda_matrix
 from resonance_lab.rings import Matrix, make_ring, rank_field
 
@@ -29,8 +28,7 @@ HESSIAN_GRAPH = "123|456|789|αβγ"
 
 def _component_map(g, m, ring):
     kb = k_gamma(g, m, ring)
-    L, nr, _ = oracle._ambient_map(lambda lam: zgamma_rows(lam, g, m, ring),
-                                   m.n, ring)
+    L, nr, _ = _kernels.build_digit_map(oracle._zgamma_coeffs(g, m), ring)
     return kb, oracle._restrict(L, kb, ring, nr), nr, len(kb)
 
 
@@ -55,7 +53,7 @@ def _bilinear_map(A, ring):
                  for j in range(n)] for r in range(len(A))]
 
     basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return _kernels.build_digit_map(rows, basis, ring, n), rows
+    return ref.digit_map(rows, basis, ring, n), rows
 
 
 def _random_forms(ring, rng, n, rows):
@@ -92,7 +90,7 @@ def test_premise_check_matches_a_brute_force_evaluation(spec):
 def test_a_candidate_outside_its_own_kernel_raises():
     ring, n = make_ring("F4"), 4
     basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    L, nr, nc = _kernels.build_digit_map(
+    L, nr, nc = ref.digit_map(
         lambda lam: [[lam[0]] + [0] * (n - 1)], basis, ring, n)
     with pytest.raises(ValueError, match="own kernel"):
         _kernels.scan_nullities(L, ring, n, nr, nc, 0, 5)
@@ -104,7 +102,7 @@ def test_a_sketch_nullity_of_zero_raises(monkeypatch):
     monkeypatch.setattr(_kernels, "_check_self_kernel", lambda *a: None)
     ring, n = make_ring("F3"), 3
     basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    L, nr, nc = _kernels.build_digit_map(
+    L, nr, nc = ref.digit_map(
         lambda lam: [[lam[0] if j == r else 0 for j in range(n)]
                      for r in range(n)], basis, ring, n)
     with pytest.raises(ValueError, match="own system"):
