@@ -67,11 +67,11 @@ and one elimination of the stack returns (K, valid), a (B, n, n) stack of
 generators and its row mask.  Over F_q, `echelon_kernels` takes one
 reduced row echelon form, whose valid rows are `rings.kernel_field`'s
 basis.  Over Z/N, `_smith_kernels` replays the integer Smith form of
-[M | N*I] and `rings.howell_form` in lockstep, one pass of the reference
-loop body per numpy round, keeps the column transform mod N, and hands
-each matrix whose own entries outgrow a bound back to `kernel_modn`
-before an int64 product could overflow, while the rest of the stack goes
-on; row c of K[b] is the `kernel_modn` generator with pivot column c.
+[M | N*I] step by step on trailing blocks, then `rings.howell_form` in
+lockstep; it keeps the column transform mod N, and hands each matrix
+whose own entries outgrow a bound back to `kernel_modn` before an int64
+product could overflow, while the rest of the stack goes on; row c of
+K[b] is the `kernel_modn` generator with pivot column c.
 
 Candidates are numbered in one of two orders, with one decoder each.
 Tuples of (Z/q)^dim follow `itertools.product` order: tuple g has the
@@ -519,91 +519,90 @@ def _smith_kernels(mats: np.ndarray, ring: IntegersModN
     """`kernel_modn` of every matrix of the (B, R, n) int stack mats, as
     (K, valid): row c of K[b] is the generator of kernel_modn(mats[b]) with
     its pivot in column c, where valid[b, c], so the valid rows are its
-    list.  The Smith form of every [M | N*I] is replayed in lockstep.
+    list.  The Smith form of every [M | N*I] is replayed step by step.
 
-    Each round runs one pass of the `smith_normal_form` loop body on every
-    unfinished matrix at its own step t: the row-major first least |entry|
-    of the trailing block as pivot, the two swaps and the sign fix, the row
-    quotient steps (each reads the unchanged row t), the column quotient
-    steps (each reads column t, which none of them changes; numpy's // floors
-    like Python's), then either another pass on remainders or the fix-up
-    that adds the first row holding an entry the pivot does not divide.
     U is not kept, and V keeps only its first n rows, the ones
-    `kernel_modn` reads: a column step acts on each row of V on its own.
-    [M | N*I] has full row rank, so the pivots fill the diagonal and the
-    generators are the nonzero columns of V[:, R:] mod N; one call of
-    `_howell_forms` reduces those of the whole stack.  V is read only mod
-    N and never feeds A or the pivots, so an entry of V past `_SMITH_BOUND`
-    reduces the stack's V mod N.  A matrix with an entry of A past it goes
-    to `kernel_modn` on its own, each row at its pivot column; the others
-    go on.  Each matrix's replay reads only its own entries, so the
+    `kernel_modn` reads; they sit under A in W = [A; V], so one column
+    operation on W acts on both (a column step acts on each row of V on its
+    own).  Step t runs passes of the `smith_normal_form` loop body on the
+    trailing block W[:, t:, t:]: the first pass in place on the whole
+    stack, each later one on the matrices that must repeat step t, gathered
+    and written back.  A pass is the reference's: the row-major first least
+    |entry| of A's trailing block as pivot, the two swaps and the sign fix
+    (a negation of row t, which commutes with the column swap), the row
+    quotient steps (each reads the unchanged row t), the column quotient
+    steps (each reads column t, which none of them changes; numpy's //
+    floors like Python's), then another pass on remainders, or the fix-up
+    that adds the first row holding an entry the pivot does not divide and
+    another pass, or step t + 1.
+
+    The trailing block is enough.  When step t begins, rows and columns
+    < t of A are zero apart from the finished pivots; every swap, step and
+    fix-up of step t or later reads and writes only rows and columns >= t
+    (the fix-up adds a row that is zero before column t), so those entries
+    of A, and the columns < t of V, never change again.  Each matrix thus
+    runs exactly its reference sequence of passes.  [M | N*I] has full row
+    rank, so no trailing block of A is zero, the pivots fill the diagonal,
+    and the generators are the nonzero columns of V[:, R:] mod N; one call
+    of `_howell_forms` reduces those of the whole stack.
+
+    The hand-offs are unchanged too.  The bound is checked before every
+    pass on the block that pass reads.  V is read only mod N and never
+    feeds A or the pivots, so an entry of V past `_SMITH_BOUND` reduces V
+    mod N.  A matrix with an entry of A's block past it goes to
+    `kernel_modn` on its own, each row at its pivot column, and that block
+    becomes an identity, which no later pass changes.  Outside the block
+    A holds only finished pivots, each checked by the pass that chose it,
+    so the test sees every entry of A a whole-matrix test would, before the
+    same passes; and a matrix's passes read only its own entries, so the
     matrices handed off are those that overflow when replayed alone.
     """
     (B, R, n), N = mats.shape, ring.n
-    C = n + R
-    A = np.zeros((B, R, C), dtype=np.int64)
-    A[:, :, :n] = mats
-    A[:, :, n:] = N * np.eye(R, dtype=np.int64)
-    V = np.zeros((B, n, C), dtype=np.int64)
-    V[:, :, :n] = np.eye(n, dtype=np.int64)
-    t = np.zeros(B, dtype=np.int64)
-    idx = np.arange(B)  # stack position of each unfinished matrix
-    G = np.zeros((B, n, n), dtype=np.int64)  # generator rows by position
-    handoff = []  # stack positions of the matrices that outgrew the bound
-    rows, cols = np.arange(R), np.arange(C)
-    # a pivot key per entry: |a| - 1 as uint64 (so 0 wraps to the top),
-    # with bit 63 set outside the trailing block of step t
-    outside = ~((rows >= rows[:, None])[:, :, None]
-                & (cols >= rows[:, None])[:, None, :])
-    high = outside.astype(np.uint64) << np.uint64(63)  # (R, R, C) by t
-    while idx.size and R:
-        if np.abs(V).max() > _SMITH_BOUND:
-            V %= N  # column steps commute with reduction mod N
-        mag = np.abs(A)
-        if mag.max() > _SMITH_BOUND:
-            # per-matrix maxima only here, so bounded stacks never pay them
-            over = mag.max((1, 2)) > _SMITH_BOUND
-            handoff += idx[over].tolist()
-            keep = ~over
-            A, V, t, idx, mag = A[keep], V[keep], t[keep], idx[keep], mag[keep]
-            if not idx.size:
-                break
-        every, tt = np.arange(idx.size), t[:, None]
-        below, right = rows > tt, cols > tt  # (b, R) and (b, C)
-        key = ((mag.view(np.uint64) - np.uint64(1)) | high[t]).reshape(
-            idx.size, -1)
-        best = key.argmin(1)
-        if key[every, best].max() >> np.uint64(63):
-            break  # a zero trailing block: impossible at full row rank
-        bi, bj = np.divmod(best, C)
-        A[every, t], A[every, bi] = A[every, bi], A[every, t]
-        A[every, :, t], A[every, :, bj] = A[every, :, bj], A[every, :, t]
-        V[every, :, t], V[every, :, bj] = V[every, :, bj], V[every, :, t]
-        A[every, t] *= np.where(A[every, t, t] < 0, -1, 1)[:, None]
-        piv = A[every, t, t][:, None]
-        f = np.where(below, -(A[every, :, t] // piv), 0)
-        A += f[:, :, None] * A[every, t][:, None, :]
-        g = np.where(right, -(A[every, t] // piv), 0)
-        A += A[every, :, t][:, :, None] * g[:, None, :]
-        V += V[every, :, t][:, :, None] * g[:, None, :]
-        dirty = ((A[every, :, t] != 0) & below).any(1) | (
-            (A[every, t] != 0) & right).any(1)
-        # the fix-up looks at clean steps; a pivot of one divides everything
-        look = np.flatnonzero(~dirty & (piv[:, 0] > 1))
-        stain = np.zeros((idx.size, R), dtype=bool)
-        stain[look] = ((A[look] % piv[look, :, None] != 0)
-                       & below[look, :, None] & right[look, None, :]).any(2)
-        fix = stain.any(1)
-        A[every[fix], t[fix]] += A[every[fix], stain[fix].argmax(1)]
-        t = np.where(dirty | fix, t, t + 1)
-        fin = t == R
-        if fin.any():
-            # the generators: the columns of V[:, R:] mod N, as rows
-            G[idx[fin]] = V[fin][:, :, R:].transpose(0, 2, 1) % N
-            keep = ~fin
-            A, V, t, idx = A[keep], V[keep], t[keep], idx[keep]
+    W = np.zeros((B, R + n, n + R), dtype=np.int64)
+    W[:, :R, :n] = mats
+    W[:, :R, n:] = N * np.eye(R, dtype=np.int64)
+    W[:, R:, :n] = np.eye(n, dtype=np.int64)
+    gone = np.zeros(B, dtype=bool)  # the matrices that outgrew the bound
+    every = np.arange(B)
+    for t in range(R):
+        pos, w = every, W[:, t:, t:]  # a view: the first pass is in place
+        while pos.size:
+            a, v, s = w[:, :R - t], w[:, R - t:], np.arange(pos.size)
+            if np.abs(v).max() > _SMITH_BOUND:
+                v %= N  # column steps commute with reduction mod N
+            mag = np.abs(a)
+            if mag.max() > _SMITH_BOUND:
+                # per-matrix maxima only here, so bounded stacks never pay them
+                over = mag.max((1, 2)) > _SMITH_BOUND
+                gone[pos[over]] = True
+                a[over] = mag[over] = np.eye(*a.shape[1:], dtype=np.int64)
+            key = mag.reshape(pos.size, -1).view(np.uint64)
+            key -= np.uint64(1)  # |a| - 1, so that 0 wraps to the top
+            best = key.argmin(1)
+            piv = (key[s, best] + np.uint64(1)).view(np.int64)[:, None, None]
+            bi, bj = np.divmod(best, a.shape[2])
+            sign = np.where(a[s, bi, bj] < 0, -1, 1)[:, None]
+            a[s, bi], a[s, 0] = a[s, 0], a[s, bi] * sign
+            w[s, :, 0], w[s, :, bj] = w[s, :, bj], w[s, :, 0]
+            a[:, 1:] -= a[:, 1:, :1] // piv * a[:, :1]
+            w[:, :, 1:] -= w[:, :, :1] * (a[:, :1, 1:] // piv)
+            again = a[:, 1:, 0].any(1) | a[:, 0, 1:].any(1)
+            # the fix-up looks at clean passes; a pivot of one divides all
+            look = np.flatnonzero(~again & (piv[:, 0, 0] > 1))
+            stain = (a[look, 1:, 1:] % piv[look]).any(2)
+            hit = stain.any(1)
+            fix = look[hit]
+            if fix.size:
+                a[fix, 0] += a[fix, 1 + stain[hit].argmax(1)]
+                again[fix] = True
+            if pos is not every:
+                W[pos, t:, t:] = w
+            pos = pos[again]
+            w = W[pos, t:, t:]
+    G = W[:, R:, R:].transpose(0, 2, 1) % N  # the generators, as rows
+    G[gone] = 0
     K = _howell_forms(G, N)
-    for b in handoff + idx.tolist():
+    for b in np.flatnonzero(gone).tolist():
         for row in kernel_modn(Matrix.from_rows(ring, mats[b].tolist(),
                                                 width=n)):
             K[b, np.flatnonzero(row)[0]] = row

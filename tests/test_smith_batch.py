@@ -225,3 +225,135 @@ def test_generators_equal_kernel_modn_on_random_matrices(N, R, n):
     for M, gens in zip(mats, got):
         rows = M.reshape(R, n).tolist()
         assert gens == kernel_modn(Matrix.from_rows(ring, rows, width=n)), rows
+
+
+def _first_overflow(rows, N, bound):
+    """(t, k) of the first pass of the `smith_normal_form` loop on
+    [M | N*I] that starts with an entry past bound, the k-th pass of step
+    t, or None when no pass does: the reference loop on A alone, with the
+    check on the whole matrix."""
+    R, C = len(rows), len(rows[0]) + len(rows)
+    A = [list(r) + [N * (i == j) for j in range(R)]
+         for i, r in enumerate(rows)]
+    t = k = 0
+    while t < R:
+        if max(abs(x) for r in A for x in r) > bound:
+            return t, k
+        _, bi, bj = min((abs(A[i][j]), i, j) for i in range(t, R)
+                        for j in range(t, C) if A[i][j])
+        A[t], A[bi] = A[bi], A[t]
+        for r in A:
+            r[t], r[bj] = r[bj], r[t]
+        if A[t][t] < 0:
+            A[t] = [-x for x in A[t]]
+        p, k = A[t][t], k + 1
+        for i in range(t + 1, R):
+            f = A[i][t] // p
+            A[i] = [x - f * y for x, y in zip(A[i], A[t])]
+        for j in range(t + 1, C):
+            f = A[t][j] // p
+            for r in A:
+                r[j] -= f * r[t]
+        if any(A[i][t] for i in range(t + 1, R)) or any(A[t][t + 1:]):
+            continue
+        i = next((i for i in range(t + 1, R)
+                  if any(x % p for x in A[i][t + 1:])), None)
+        if i is None:
+            t, k = t + 1, 0
+        else:
+            A[t] = [x + y for x, y in zip(A[t], A[i])]
+    return None
+
+
+def _kernel_lists(stack, ring):
+    n = stack.shape[2]
+    return [kernel_modn(Matrix.from_rows(ring, M, width=n))
+            for M in stack.tolist()]
+
+
+def _random_stack(N, B, R, n, seed):
+    rng = random.Random(seed)
+    return np.array([[[rng.randrange(N) for _ in range(n)] for _ in range(R)]
+                     for _ in range(B)], dtype=np.int64).reshape(B, R, n)
+
+
+def _counting_handoffs(monkeypatch):
+    handed = []
+    real = _kernels.kernel_modn
+
+    def counted(M):
+        handed.append(tuple(map(tuple, M.rows)))
+        return real(M)
+
+    monkeypatch.setattr(_kernels, "kernel_modn", counted)
+    return handed
+
+
+@pytest.mark.parametrize("B", [0, 1])
+def test_an_empty_and_a_one_matrix_stack(B):
+    ring = make_ring("Z12")
+    stack = _random_stack(12, B, 3, 4, f"stack:{B}")
+    K, valid = _kernels._smith_kernels(stack, ring)
+    assert K.shape == (B, 4, 4) and valid.shape == (B, 4)
+    assert _lists(K, valid) == _kernel_lists(stack, ring)
+
+
+@pytest.mark.parametrize("N", [4, 6, 12])
+def test_a_zero_matrix_has_every_pivot_n(N):
+    # [0 | N*I]: every pivot is N, and the kernel is all of (Z/N)^n
+    ring = make_ring(f"Z{N}")
+    stack = np.zeros((2, 3, 4), dtype=np.int64)
+    K, valid = _kernels._smith_kernels(stack, ring)
+    assert valid.all() and np.array_equal(K[0], np.eye(4, dtype=np.int64))
+    assert _lists(K, valid) == _kernel_lists(stack, ring)
+
+
+@pytest.mark.parametrize("R,n", [(1, 1), (1, 5), (4, 1), (0, 3)])
+def test_single_row_single_column_and_empty_shapes(R, n):
+    # through the identity digit map, as the scans build their stacks; with
+    # R = 0 the stack has no rows and the kernel is all of (Z/N)^n
+    ring = make_ring("Z12")
+    coords = _random_stack(12, 40, R, n, f"shape:{R}:{n}").reshape(40, R * n)
+    stack = _kernels._systems(np.eye(R * n, dtype=np.int64), ring, coords, n)
+    assert stack.shape == (40, R, n)
+    assert _lists(*_kernels._smith_kernels(stack, ring)) == _kernel_lists(
+        stack, ring)
+
+
+@pytest.mark.parametrize("N,R,n", [(8, 4, 4), (16, 3, 5), (25, 4, 3),
+                                   (27, 3, 4)])
+def test_prime_power_moduli_with_long_fix_up_chains(N, R, n):
+    ring = make_ring(f"Z{N}")
+    stack = _random_stack(N, 150, R, n, f"pk:{N}")
+    assert _lists(*_kernels._smith_kernels(stack, ring)) == _kernel_lists(
+        stack, ring)
+
+
+def test_a_first_overflow_inside_a_repeated_pass_of_a_later_step(
+        monkeypatch):
+    # with the bound at 100, matrices of Z12 overflow at different steps
+    # and passes, some on a repeat of step 1 or 2; each is handed off
+    # exactly when the reference loop on its own overflows
+    ring, bound = make_ring("Z12"), 100
+    stack = _random_stack(12, 64, 3, 4, "overflow")
+    first = [_first_overflow(M, 12, bound) for M in stack.tolist()]
+    assert any(f is not None and f[0] >= 1 and f[1] >= 1 for f in first)
+    assert None in first
+    handed = _counting_handoffs(monkeypatch)
+    monkeypatch.setattr(_kernels, "_SMITH_BOUND", bound)
+    got = _lists(*_kernels._smith_kernels(stack, ring))
+    assert sorted(handed) == sorted(
+        tuple(map(tuple, M)) for M, f in zip(stack.tolist(), first)
+        if f is not None)
+    assert got == _kernel_lists(stack, ring)
+
+
+def test_a_stack_handed_off_whole(monkeypatch):
+    ring = make_ring("Z6")
+    stack = _random_stack(6, 24, 3, 4, "whole")
+    handed = _counting_handoffs(monkeypatch)
+    monkeypatch.setattr(_kernels, "_SMITH_BOUND", 0)
+    got = _lists(*_kernels._smith_kernels(stack, ring))
+    assert sorted(handed) == sorted(tuple(map(tuple, M))
+                                    for M in stack.tolist())
+    assert got == _kernel_lists(stack, ring)
